@@ -3,8 +3,9 @@
 The coin is the Hadamard matrix everywhere except at the origin, where it
 carries an extra phase omega = exp(2*pi*i*phi).  The walker starts at the
 origin with a normalized two-component coin state.  This module provides the
-state type, single-step evolution, instantaneous measures, return
-probabilities, and time-averaged measures.
+state type, single-step evolution (``step``, the readable reference), one
+light-cone stepping kernel behind ``evolve`` and ``time_average``,
+instantaneous measures, return probabilities, and time-averaged measures.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ class WalkParams:
     """Defect phase and initial coin state.
 
     ``phi`` lives in [0, 1); phi = 0 is the homogeneous Hadamard baseline.
-    The coin state (alpha, beta) must be normalized to 1 within 1e-12.
+    The coin state (alpha, beta) must be finite and normalized to 1 within
+    1e-12.
     """
 
     phi: float
@@ -35,6 +37,10 @@ class WalkParams:
     beta: complex
 
     def __post_init__(self):
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise DomainError(
+                f"initial coin state must be finite, got ({self.alpha}, {self.beta})"
+            )
         if not 0.0 <= self.phi < 1.0:
             raise DomainError(f"phi must lie in [0, 1), got {self.phi}")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
@@ -135,14 +141,51 @@ def step(state: WalkState, params: WalkParams) -> WalkState:
     return WalkState(offset=state.offset - 1, amps=out, time=state.time + 1)
 
 
+def _light_cone(params: WalkParams, n: int, xmax: int):
+    """Yield the state at times t = 0 .. n on the window |x| <= min(t, xmax).
+
+    Each item is a (2, 2w+1) view, rows (left, right), of one of two
+    preallocated buffers that swap every step; the next step overwrites it.
+    Step t reads only |x| <= min(t-1, xmax+n-t+1): a site farther out can no
+    longer reach the window by time n.  A column beyond |x| = t has never
+    been written, so it holds the zero the support needs.  The arithmetic is
+    that of ``step`` in the same order, so every value is bit-for-bit equal
+    to a ``step`` loop.
+    """
+    c = max(n, xmax)  # column of the origin
+    cur = np.zeros((2, 2 * c + 1), dtype=complex)
+    nxt = np.zeros_like(cur)
+    cur[:, c] = params.alpha, params.beta
+    omega = params.omega
+    yield cur[:, c : c + 1]
+    for t in range(1, n + 1):
+        r = min(t - 1, xmax + n - t + 1)
+        ell = cur[0, c - r : c + r + 1]
+        arr = cur[1, c - r : c + r + 1]
+        a = nxt[0, c - r - 1 : c + r]  # left-movers land at x-1
+        b = nxt[1, c - r + 1 : c + r + 2]  # right-movers land at x+1
+        np.add(ell, arr, out=a)
+        np.divide(a, SQRT2, out=a)
+        np.subtract(ell, arr, out=b)
+        np.divide(b, SQRT2, out=b)
+        nxt[0, c - 1] *= omega
+        nxt[1, c + 1] *= omega
+        cur, nxt = nxt, cur
+        w = min(t, xmax)
+        yield cur[:, c - w : c + w + 1]
+
+
 def evolve(params: WalkParams, n: int) -> WalkState:
-    """State after n steps from the origin."""
+    """State after n steps from the origin, on its full support [-n, n].
+
+    Runs the light-cone kernel with the window as wide as the support, so no
+    site is cut; ``step`` is the one-step reference it reproduces exactly.
+    """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    state = initial_state(params)
-    for _ in range(n):
-        state = step(state, params)
-    return state
+    for amps in _light_cone(params, n, n):
+        pass
+    return WalkState(offset=-n, amps=amps.T.copy(), time=n)
 
 
 def measure(state: WalkState) -> Measure:
@@ -158,21 +201,17 @@ def return_probability(params: WalkParams, n: int) -> float:
 def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     """Average of the site measures over times 0 .. T-1, restricted to |x| <= xmax.
 
-    Runs a single evolution, accumulating running sums; no re-evolution per T.
+    One light-cone kernel run to time T-1: step t updates only the sites
+    |x| <= min(t-1, xmax+T-t) that can still reach the window, in place in
+    two preallocated buffers.  The result equals a ``step`` loop bit for bit.
     """
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
     if xmax < 0:
         raise DomainError(f"xmax must be >= 0, got {xmax}")
     acc = np.zeros(2 * xmax + 1)
-    state = initial_state(params)
-    for t in range(T):
-        if t > 0:
-            state = step(state, params)
-        mu = np.sum(np.abs(state.amps) ** 2, axis=1)
-        # overlap of the support [offset, offset+len-1] with [-xmax, xmax]
-        lo = max(state.offset, -xmax)
-        hi = min(state.offset + len(mu) - 1, xmax)
-        if lo <= hi:
-            acc[lo + xmax : hi + xmax + 1] += mu[lo - state.offset : hi - state.offset + 1]
+    for t, amps in enumerate(_light_cone(params, T - 1, xmax)):
+        w = min(t, xmax)
+        mu = np.abs(amps) ** 2
+        acc[xmax - w : xmax + w + 1] += mu[0] + mu[1]
     return Measure(offset=-xmax, values=acc / T)

@@ -189,3 +189,60 @@ def test_verify_passes(capsys):
     assert len(lines) == 9
     assert all(line.startswith("[ok") for line in lines)
     assert "all checks passed" in out
+
+
+def test_compare_rejects_nan_state(capsys):
+    code, out, err = run(
+        capsys,
+        "compare",
+        "--phi", "0.5",
+        "--alpha", "nan,0",
+        "--beta", "1,0",
+        "--T", "10",
+        "--xmax", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_normalize_rejects_zero_state(capsys):
+    code, out, err = run(
+        capsys,
+        "limit",
+        "--phi", "0.5",
+        "--alpha", "0,0",
+        "--beta", "0,0",
+        "--normalize",
+        "--xmax", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "zero state" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("limit", "--phi", "0.5", "--xmax", "-1"),
+        ("stationary", "--phi", "0.5", "--branch", "plus", "--xmax", "-1"),
+    ],
+)
+def test_negative_xmax_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--xmax" in err
+
+
+def test_compare_max_error_propagates_nan(capsys, monkeypatch):
+    real = cli.limits.mu_inf
+    monkeypatch.setattr(
+        cli.limits, "mu_inf",
+        lambda x, *rest: math.nan if x == -1 else real(x, *rest),
+    )
+    code, out, _ = run(
+        capsys, "compare", "--phi", "0.5", "--T", "10", "--xmax", "1"
+    )
+    assert code == 0
+    assert out.strip().split("\n")[-1] == "max_abs_err=nan"

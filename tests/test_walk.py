@@ -43,6 +43,9 @@ def test_params_validation():
         WalkParams(phi=1.2, alpha=1.0, beta=0.0)
     with pytest.raises(DomainError):
         WalkParams.preset(2, 0.3)
+    for alpha, beta in ((math.nan, 0.0), (1.0, complex(0, math.inf))):
+        with pytest.raises(DomainError):
+            WalkParams(phi=0.5, alpha=alpha, beta=beta)
 
 
 def test_single_step_from_left_chirality():
@@ -206,3 +209,49 @@ def test_mass_conserved(state, phi):
     params = WalkParams(phi=phi, alpha=complex(state[0]), beta=complex(state[1]))
     final = walk.evolve(params, 30)
     assert final.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+# The kernel behind evolve and time_average must reproduce a plain loop of the
+# public one-step reference exactly, including where the light cone cuts it.
+KERNEL_PHIS = (0.0, 0.1, 0.5, 0.9)  # homogeneous, then (0,1/4), (1/4,3/4), (3/4,1)
+KERNEL_TIMES = (1, 2, 3, 8, 999)
+
+
+def _random_params(phi, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    return WalkParams(phi=phi, alpha=complex(v[0]), beta=complex(v[1]))
+
+
+def _step_reference(params, times, pad):
+    """One loop of walk.step: the state at each n in ``times`` and the
+    measure summed over times 0 .. n-1, in time order, on |x| <= pad."""
+    states, sums = {}, {}
+    acc = np.zeros(2 * pad + 1)
+    state = walk.initial_state(params)
+    for t in range(max(times) + 1):
+        if t > 0:
+            state = walk.step(state, params)
+        if t in times:
+            states[t] = state
+            sums[t] = acc.copy()
+        mu = walk.measure(state)
+        acc[pad + mu.offset : pad + mu.offset + len(mu.values)] += mu.values
+    return states, sums
+
+
+@pytest.mark.parametrize("phi", KERNEL_PHIS)
+def test_kernel_matches_step_reference(phi):
+    params = _random_params(phi, seed=int(phi * 10))
+    pad = 2 * max(KERNEL_TIMES) + 7
+    states, sums = _step_reference(params, KERNEL_TIMES, pad)
+    for T in KERNEL_TIMES:
+        got = walk.evolve(params, T)
+        assert got.offset == -T and got.time == T and len(got.amps) == 2 * T + 1
+        assert np.max(np.abs(got.amps - states[T].amps)) == 0.0
+        for xmax in (0, 5, T - 1, T, T + 7):
+            mu = walk.time_average(params, T, xmax)
+            assert mu.offset == -xmax
+            expected = sums[T][pad - xmax : pad + xmax + 1] / T
+            assert np.max(np.abs(mu.values - expected)) == 0.0
