@@ -10,7 +10,6 @@ from .walk import (
     Measure,
     WalkParams,
     WalkState,
-    coin_at,
     evolve,
     measure,
     return_probability,
@@ -21,12 +20,10 @@ from .series import (
     PowerSeries,
     first_return_series,
     path_oracle_first_return,
-    psi_origin,
     psi_origin_sequence,
     rstar,
     rstar_series,
     sqrt1z4_series,
-    xi_star,
 )
 from .spectral import (
     SpectralPoint,
@@ -66,7 +63,6 @@ __all__ = [
     "big_lambda0",
     "c_phi",
     "cgmv_limit_origin",
-    "coin_at",
     "compare_stationary_timeavg",
     "evolve",
     "f_tilde",
@@ -76,7 +72,6 @@ __all__ = [
     "mu_inf",
     "mu_inf_origin",
     "path_oracle_first_return",
-    "psi_origin",
     "psi_origin_sequence",
     "residue_norms_origin",
     "return_probability",
@@ -89,7 +84,6 @@ __all__ = [
     "theta0",
     "time_average",
     "total_point_mass",
-    "xi_star",
     "xi_tilde0_series",
 ]
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import limits, series, spectral, walk
-from .walk import DomainError, WalkParams
+from .walk import SQRT2, DomainError, WalkParams
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -70,7 +70,7 @@ def _resolve_state(args) -> tuple:
             beta /= scale
         return alpha, beta
     eta = args.eta if args.eta is not None else 1
-    return 1 / math.sqrt(2), eta * 1j / math.sqrt(2)
+    return 1 / SQRT2, eta * 1j / SQRT2
 
 
 def _sites(xmax: int) -> range:
@@ -260,8 +260,6 @@ def cmd_stationary(args) -> int:
 
 def _verify_checks():
     """Yield (name, ok, detail) for the cross-validation suite."""
-    sqrt2 = math.sqrt(2)
-
     params = WalkParams.preset(1, 0.3)
     state = walk.evolve(params, 400)
     drift = abs(state.norm_sq() - 1.0)
@@ -332,7 +330,7 @@ def _verify_checks():
     for i in range(1, 11):
         phi = i / 11
         for eta in (1, -1):
-            a, b = 1 / sqrt2, eta * 1j / sqrt2
+            a, b = 1 / SQRT2, eta * 1j / SQRT2
             worst = max(
                 worst,
                 abs(limits.cgmv_limit_origin(phi, a, b) - limits.mu_inf_origin(phi, a, b)),

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import DomainError
-
-SQRT2 = math.sqrt(2.0)
+from .walk import SQRT2, DomainError, _check_phi
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,7 @@ def c_phi(phi: float, eta: int) -> float:
     the Cp / (0, 3/4) twin for eta = -1.  Zero at phi = 0 (homogeneous walk,
     no localization).
     """
-    if not 0.0 <= phi < 1.0:
-        raise DomainError(f"phi must lie in [0, 1), got {phi}")
+    _check_phi(phi)
     if eta not in (1, -1):
         raise DomainError(f"eta must be +1 or -1, got {eta}")
     t = TrigPack.from_phi(phi)
@@ -92,8 +89,7 @@ def _origin_weights(phi: float, alpha: complex, beta: complex):
 
 def mu_inf_origin(phi: float, alpha: complex, beta: complex) -> float:
     """Time-averaged limit measure at the origin."""
-    if not 0.0 <= phi < 1.0:
-        raise DomainError(f"phi must lie in [0, 1), got {phi}")
+    _check_phi(phi)
     mu1, mu2 = _origin_weights(phi, alpha, beta)
     return mu1 + mu2
 
@@ -103,8 +99,7 @@ def mu_inf(x: int, phi: float, alpha: complex, beta: complex) -> float:
 
     Symmetric in x <-> -x, decaying with rates 1/(3 - 2 sqrt(2) C+-).
     """
-    if not 0.0 <= phi < 1.0:
-        raise DomainError(f"phi must lie in [0, 1), got {phi}")
+    _check_phi(phi)
     mu1, mu2 = _origin_weights(phi, alpha, beta)
     if x == 0:
         return mu1 + mu2
@@ -123,6 +118,7 @@ def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
     Always a sub-probability; the remaining mass spreads ballistically and
     contributes nothing to any fixed site's time average.
     """
+    _check_phi(phi)
     mu1, mu2 = _origin_weights(phi, alpha, beta)
     t = TrigPack.from_phi(phi)
     total = mu1 + mu2
@@ -157,7 +153,6 @@ def theta0(E: float) -> Theta0:
     den = 3 - 2 * E
     cos0 = -((1 - E) ** 2) / den
     sin0 = (2 - E) * math.sqrt(max(0.0, 2 - E * E)) / den
-    assert abs(cos0 * cos0 + sin0 * sin0 - 1.0) < 1e-12
     return Theta0(cos0=cos0, sin0=sin0, E=E)
 
 
@@ -178,6 +173,7 @@ def asymptotic_psi_origin(
     at theta0(E+), the (alpha + i beta) part at theta0(E-), each gated by its
     localization region.
     """
+    _check_phi(phi)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     t = TrigPack.from_phi(phi)
@@ -213,8 +209,12 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
     with rate 1/(3 - 2C -+ 2S) and carries the prefactor 2 - C -+ S
     (upper signs for the beta = i alpha branch).
     """
-    if not 0.0 < phi < 1.0:
-        raise DomainError(f"phi must lie in (0, 1), got {phi}")
+    _check_phi(phi)
+    if phi == 0.0:
+        raise DomainError(
+            "phi must lie in (0, 1) for the stationary profile: at phi = 0 the "
+            "rate 1/(3 - 2C -+ 2S) is 1, so the profile does not decay"
+        )
     if alpha_mod2 <= 0:
         raise DomainError(f"alpha_mod2 must be > 0, got {alpha_mod2}")
     t = TrigPack.from_phi(phi)
@@ -254,6 +254,7 @@ def compare_stationary_timeavg(
     the measures coincide when the stationary origin mass |c|^2 equals
     2 (1 - sqrt(2) C-+)^2 / (3 - 2 sqrt(2) C-+)^2.
     """
+    _check_phi(phi)
     t = TrigPack.from_phi(phi)
     if branch == BRANCH_PLUS:
         alpha, beta = 1 / SQRT2, 1j / SQRT2
@@ -294,10 +295,10 @@ def cgmv_limit_origin(phi: float, alpha: complex, beta: complex) -> float:
     """Origin limit measure spelled through the energies E+- = C +- S.
 
     Algebraically the same function as ``mu_inf_origin`` (sqrt(2) C-+ = E+-);
-    kept as a separate spelled-out formula for cross-checking.
+    kept as a separate spelled-out formula for cross-checking.  Zero at
+    phi = 0, where neither localization region applies.
     """
-    if not 0.0 < phi < 1.0:
-        raise DomainError(f"phi must lie in (0, 1), got {phi}")
+    _check_phi(phi)
     t = TrigPack.from_phi(phi)
     out = 0.0
     out += (

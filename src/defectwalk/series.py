@@ -11,6 +11,7 @@ every even time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,49 +37,11 @@ class PowerSeries:
             return self.coeffs[n]
         raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(order + 1))
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(order + 1))
-        )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, ci in enumerate(self.coeffs[: order + 1]):
-            if ci == 0:
-                continue
-            for j in range(order + 1 - i):
-                cj = other.coeffs[j]
-                if cj != 0:
-                    out[i + j] += ci * cj
-        return PowerSeries(tuple(out))
-
     def shift_down(self, k: int = 1) -> "PowerSeries":
         """Divide by z^k; the k lowest coefficients must vanish."""
         if any(c != 0 for c in self.coeffs[:k]):
             raise ValueError("series not divisible by z^k")
         return PowerSeries(self.coeffs[k:])
-
-    def sqrt(self) -> "PowerSeries":
-        """Square root with constant term 1 (requires coeffs[0] == 1)."""
-        if self.coeffs[0] != 1:
-            raise ValueError("sqrt requires constant term 1")
-        out = [Fraction(1)] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            s = sum(out[j] * out[n - j] for j in range(1, n))
-            out[n] = (self.coeffs[n] - s) / 2
-        return PowerSeries(tuple(out))
-
-    @staticmethod
-    def from_ints(*vals: int) -> "PowerSeries":
-        return PowerSeries(tuple(Fraction(v) for v in vals))
 
 
 def sqrt1z4_series(N: int) -> PowerSeries:
@@ -100,7 +63,7 @@ def rstar(n: int) -> Fraction:
     """Two-sided first-return coefficient r*_n.
 
     Nonzero only at n = 1 (value -1) and n = 4m - 1, where it equals
-    (-1)^(m-1) * (2m-2)! / (2^(2m-1) * (m-1)! * m!).  This closed form is the
+    (-1)^(m-1) * C(2m-2, m-1) / (2^(2m-1) * m).  This closed form is the
     one forced by the generating function (-1 - z^2 + sqrt(1 + z^4)) / z; the
     triple-equivalence tests pin it against both the series expansion and
     direct path enumeration.
@@ -112,16 +75,8 @@ def rstar(n: int) -> Fraction:
     if n % 4 != 3:
         return Fraction(0)
     m = (n + 1) // 4
-    num = (-1) ** (m - 1) * _factorial(2 * m - 2)
-    den = 2 ** (2 * m - 1) * _factorial(m - 1) * _factorial(m)
-    return Fraction(num, den)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    num = (-1) ** (m - 1) * math.comb(2 * m - 2, m - 1)
+    return Fraction(num, 2 ** (2 * m - 1) * m)
 
 
 def rstar_series(N: int) -> PowerSeries:
@@ -220,19 +175,6 @@ def path_oracle_first_return(n: int) -> Fraction:
     return path_oracle_coefficients(n)[2]
 
 
-def xi_star(n: int, phi: float) -> np.ndarray:
-    """Combined first-return matrix at time n for the defect walk.
-
-    Zero for odd n; for even n it is (omega * r*_{n-1} / 2) [[-1,1],[-1,-1]].
-    """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    if n % 2 == 1:
-        return np.zeros((2, 2), dtype=complex)
-    omega = np.exp(2j * np.pi * phi)
-    return (omega * float(rstar(n - 1)) / 2.0) * _RENEWAL_MATRIX
-
-
 def psi_origin_sequence(nmax: int, params: WalkParams) -> list:
     """Origin amplitudes at times 0, 2, ..., 2*nmax via the renewal convolution.
 
@@ -253,8 +195,3 @@ def psi_origin_sequence(nmax: int, params: WalkParams) -> list:
                 acc += c * vecs[k - a]
         vecs.append(_RENEWAL_MATRIX @ acc)
     return vecs
-
-
-def psi_origin(n: int, params: WalkParams) -> np.ndarray:
-    """Origin amplitude at time 2n via the renewal convolution."""
-    return psi_origin_sequence(n, params)[n]

@@ -5,8 +5,8 @@ L0(z) = 1 - sqrt(2) w f(z) + w^2 f(z)^2  (w = exp(2*pi*i*phi)) has simple
 zeros on the unit circle.  Those zeros carry the point-mass (localized) part
 of the time-averaged measure: each contributes the squared norm of the
 corresponding residue.  This module computes f(z), the decay factor
-lambda(z), the singular points with closed-form placement plus Newton
-polishing, and the numeric residue norms at the origin.
+lambda(z), the singular points in closed form, and the numeric residue norms
+at the origin.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import sqrt1z4_series
-from .walk import DomainError
-
-SQRT2 = math.sqrt(2.0)
+from .walk import SQRT2, DomainError, _check_phi
 
 BRANCH_EPS_PLUS = "eps_plus"    # f(z) = exp(-i(2*pi*phi + pi/4)) root family
 BRANCH_EPS_MINUS = "eps_minus"  # f(z) = exp(-i(2*pi*phi - pi/4)) root family
@@ -68,21 +66,12 @@ def lambda_tilde(z: complex) -> complex:
     denominator away from zero."""
     f = f_tilde(z)
     d = f - SQRT2
-    assert abs(d) > 0.1, "f(z) approached sqrt(2) inside the closed disk"
+    if not abs(d) > 0.1:
+        raise DomainError(
+            f"f(z) approached sqrt(2) inside the closed disk: |f - sqrt(2)| = "
+            f"{abs(d)} at z = {z}"
+        )
     return complex(z) / d
-
-
-def lambda_sq_circle(theta: float) -> float:
-    """|lambda(e^{i theta})|^2 = 3 - 4 cos^2 - 2 sqrt(2) |sin| sqrt(1 - 2 cos^2).
-
-    Valid on the band 2 sin^2 theta >= 1 where |f| = 1.
-    """
-    c = math.cos(theta)
-    s = math.sin(theta)
-    band = 1 - 2 * c * c
-    if band < -1e-12:
-        raise DomainError("circle formula needs 2 sin^2(theta) >= 1")
-    return 3 - 4 * c * c - 2 * SQRT2 * abs(s) * math.sqrt(max(band, 0.0))
 
 
 def phi_tilde(theta: float) -> float:
@@ -93,10 +82,9 @@ def phi_tilde(theta: float) -> float:
     """
     s = math.sin(theta)
     band = 2 * s * s - 1
-    if band < -1e-12:
+    if not band >= -1e-12:
         raise DomainError("phi~ needs 2 sin^2(theta) >= 1")
     # sin(theta) = 0 would put theta outside the band, so sgn is well defined
-    assert abs(s) > 1e-12
     sgn = 1.0 if s > 0 else -1.0
     return math.atan2(sgn * math.sqrt(max(band, 0.0)), SQRT2 * math.cos(theta))
 
@@ -105,7 +93,7 @@ def phi_tilde_deriv(theta: float) -> float:
     """d(phi~)/d theta = sqrt(2) sin(theta) / (sgn(sin theta) sqrt(2 sin^2 - 1))."""
     s = math.sin(theta)
     band = 2 * s * s - 1
-    if band <= 0:
+    if not band > 0:
         raise DomainError("phi~ derivative needs 2 sin^2(theta) > 1")
     sgn = 1.0 if s > 0 else -1.0
     return SQRT2 * s / (sgn * math.sqrt(band))
@@ -117,6 +105,7 @@ def big_lambda0(z: complex, phi: float) -> complex:
     Factors as (1 - w f e^{i pi/4})(1 - w f e^{-i pi/4}), so zeros sit where
     w f(z) = e^{+-i pi/4}.
     """
+    _check_phi(phi)
     w = cmath.exp(2j * math.pi * phi)
     f = f_tilde(z)
     return 1 - SQRT2 * w * f + (w * f) ** 2
@@ -124,23 +113,9 @@ def big_lambda0(z: complex, phi: float) -> complex:
 
 def big_lambda0_deriv(z: complex, phi: float) -> complex:
     """dL0/dz = (-sqrt(2) w + 2 w^2 f(z)) f'(z)."""
+    _check_phi(phi)
     w = cmath.exp(2j * math.pi * phi)
     return (-SQRT2 * w + 2 * w * w * f_tilde(z)) * f_tilde_deriv(z)
-
-
-def _polish_root(theta: float, phi: float, iters: int = 8) -> float:
-    """Newton refinement of theta -> L0(e^{i theta}) toward a circle zero."""
-    for _ in range(iters):
-        z = cmath.exp(1j * theta)
-        h = big_lambda0(z, phi)
-        hp = big_lambda0_deriv(z, phi) * 1j * z
-        if hp == 0:
-            break
-        delta = (h / hp).real
-        theta -= delta
-        if abs(delta) < 1e-15:
-            break
-    return theta
 
 
 def _branch_points(eps: float) -> list:
@@ -157,12 +132,11 @@ def singular_points(phi: float) -> list:
 
     The eps_plus family (angle 2*pi*phi + pi/4) exists for phi in (0, 3/4);
     the eps_minus family (angle 2*pi*phi - pi/4) for phi in (1/4, 1) --
-    exactly where the corresponding point-mass weight is positive.  Each
-    closed-form point is polished by Newton iteration and must satisfy
+    exactly where the corresponding point-mass weight is positive, so at
+    phi = 0 there are none.  Each closed-form point must satisfy
     |L0(e^{i theta_s})| <= 1e-10.
     """
-    if not 0.0 < phi < 1.0:
-        raise DomainError(f"phi must lie in (0, 1), got {phi}")
+    _check_phi(phi)
     families = []
     if 0.0 < phi < 0.75:
         families.append((BRANCH_EPS_PLUS, 2 * math.pi * phi + math.pi / 4))
@@ -171,7 +145,7 @@ def singular_points(phi: float) -> list:
     points = []
     for name, eps in families:
         for c, s, sign in _branch_points(eps):
-            theta = _polish_root(math.atan2(s, c), phi)
+            theta = math.atan2(s, c)
             z = cmath.exp(1j * theta)
             resid = abs(big_lambda0(z, phi))
             if resid > 1e-10:
@@ -224,6 +198,7 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     Built by composing the rational sqrt(1+z^4) series into f, then inverting
     1/L0 term by term.
     """
+    _check_phi(phi)
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
     s4 = np.array([float(c) for c in sqrt1z4_series(N).coeffs])

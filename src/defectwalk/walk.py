@@ -10,17 +10,26 @@ instantaneous measures, return probabilities, and time-averaged measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-SQRT2 = np.sqrt(2.0)
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2
+SQRT2 = math.sqrt(2.0)
 
 
 class DomainError(ValueError):
     """Raised when a parameter is outside its admissible range."""
+
+
+def _check_phi(phi: float) -> None:
+    """The one domain rule for the defect phase: phi in [0, 1).
+
+    The chained comparison is false for NaN and +-inf, so they are rejected
+    too.
+    """
+    if not 0.0 <= phi < 1.0:
+        raise DomainError(f"phi must lie in [0, 1), got {phi}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,7 @@ class WalkParams:
             raise DomainError(
                 f"initial coin state must be finite, got ({self.alpha}, {self.beta})"
             )
-        if not 0.0 <= self.phi < 1.0:
-            raise DomainError(f"phi must lie in [0, 1), got {self.phi}")
+        _check_phi(self.phi)
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(
@@ -100,15 +108,6 @@ class Measure:
 
     def total(self) -> float:
         return float(np.sum(self.values))
-
-
-def coin_at(x: int, phi: float) -> np.ndarray:
-    """Coin matrix at site x: Hadamard, times exp(2*pi*i*phi) at the origin."""
-    if not 0.0 <= phi < 1.0:
-        raise DomainError(f"phi must lie in [0, 1), got {phi}")
-    if x == 0:
-        return np.exp(2j * np.pi * phi) * _HADAMARD
-    return _HADAMARD.copy()
 
 
 def initial_state(params: WalkParams) -> WalkState:

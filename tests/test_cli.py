@@ -88,6 +88,12 @@ def test_spectrum_json(capsys):
         assert entry["lambda_sq"] == pytest.approx(0.2, abs=1e-12)
 
 
+def test_spectrum_phi_zero_is_empty(capsys):
+    code, out, _ = run(capsys, "spectrum", "--phi", "0")
+    assert code == 0
+    assert json.loads(out) == []
+
+
 def test_series_rstar_rows(capsys):
     code, out, _ = run(capsys, "series", "--what", "rstar", "--order", "7")
     assert code == 0
@@ -141,6 +147,20 @@ def test_usage_error_on_bad_phi(capsys):
     code, _, err = run(capsys, "limit", "--phi", "x", "--xmax", "1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("limit", "--phi", "inf", "--xmax", "1"),
+        ("spectrum", "--phi", "nan"),
+    ],
+)
+def test_non_finite_phi_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "phi must lie in [0, 1)" in err
 
 
 def test_usage_error_on_unnormalized_state(capsys):

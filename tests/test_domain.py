@@ -1,0 +1,37 @@
+"""One domain rule for the defect phase: every function that takes phi
+rejects anything outside [0, 1), NaN and +-inf included, with DomainError."""
+
+import math
+
+import pytest
+
+from defectwalk import limits, spectral
+from defectwalk.walk import DomainError, WalkParams
+
+A, B = 0.6, 0.8j
+
+PHI_TAKERS = {
+    "WalkParams": lambda phi: WalkParams(phi=phi, alpha=1.0, beta=0.0),
+    "c_phi": lambda phi: limits.c_phi(phi, 1),
+    "mu_inf_origin": lambda phi: limits.mu_inf_origin(phi, A, B),
+    "mu_inf": lambda phi: limits.mu_inf(1, phi, A, B),
+    "total_point_mass": lambda phi: limits.total_point_mass(phi, A, B),
+    "asymptotic_psi_origin": lambda phi: limits.asymptotic_psi_origin(3, phi, A, B),
+    "stationary_measure": lambda phi: limits.stationary_measure(1, phi, 0.5, "plus"),
+    "compare_stationary_timeavg": lambda phi: limits.compare_stationary_timeavg(
+        phi, "plus"
+    ),
+    "cgmv_limit_origin": lambda phi: limits.cgmv_limit_origin(phi, A, B),
+    "singular_points": spectral.singular_points,
+    "residue_norms_origin": lambda phi: spectral.residue_norms_origin(phi, A, B),
+    "xi_tilde0_series": lambda phi: spectral.xi_tilde0_series(phi, 4),
+    "big_lambda0": lambda phi: spectral.big_lambda0(0.5j, phi),
+    "big_lambda0_deriv": lambda phi: spectral.big_lambda0_deriv(0.5j, phi),
+}
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, -0.1, 1.0, 1.5])
+@pytest.mark.parametrize("name", sorted(PHI_TAKERS))
+def test_phi_outside_domain_is_domain_error(name, phi):
+    with pytest.raises(DomainError, match=r"phi must lie in \[0, 1\)"):
+        PHI_TAKERS[name](phi)

@@ -218,3 +218,4 @@ def test_cgmv_spelling_agrees_everywhere():
 def test_cgmv_zero_cases():
     assert limits.cgmv_limit_origin(7 / 8, 1j / SQRT2, 1 / SQRT2) == 0.0
     assert limits.cgmv_limit_origin(0.2, 1j / SQRT2, -1 / SQRT2) == 0.0
+    assert limits.cgmv_limit_origin(0.0, 0.6, 0.8j) == 0.0

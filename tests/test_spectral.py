@@ -12,6 +12,15 @@ SQRT2 = math.sqrt(2.0)
 PHI_GRID = [i / 21 for i in range(1, 21)]  # avoids the 1/4, 3/4 boundaries
 
 
+def _lambda_sq_circle(theta):
+    # |lambda(e^{i theta})|^2 = 3 - 4 cos^2 - 2 sqrt(2) |sin| sqrt(1 - 2 cos^2)
+    # on the band 2 sin^2(theta) >= 1, where |f| = 1
+    c = math.cos(theta)
+    band = 1 - 2 * c * c
+    assert band >= -1e-12
+    return 3 - 4 * c * c - 2 * SQRT2 * abs(math.sin(theta)) * math.sqrt(max(band, 0.0))
+
+
 def _disk_samples(count=100, seed=3):
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0, 1, count))
@@ -51,7 +60,9 @@ def test_lambda_tilde_values():
 
 def test_lambda_circle_formula_band_boundary():
     theta = math.pi / 4  # cos^2 = 1/2
-    assert spectral.lambda_sq_circle(theta) == pytest.approx(1.0, abs=1e-12)
+    assert _lambda_sq_circle(theta) == pytest.approx(1.0, abs=1e-12)
+    q = abs(spectral.lambda_tilde(cmath.exp(1j * theta))) ** 2
+    assert q == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lambda_circle_matches_quotient():
@@ -59,7 +70,15 @@ def test_lambda_circle_matches_quotient():
         if 2 * math.sin(theta) ** 2 < 1 + 1e-6:
             continue
         q = abs(spectral.lambda_tilde(cmath.exp(1j * theta))) ** 2
-        assert q == pytest.approx(spectral.lambda_sq_circle(theta), abs=1e-12)
+        assert q == pytest.approx(_lambda_sq_circle(theta), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "func", [spectral.lambda_tilde, spectral.phi_tilde, spectral.phi_tilde_deriv]
+)
+def test_band_functions_reject_nan(func):
+    with pytest.raises(DomainError):
+        func(math.nan)
 
 
 def test_big_lambda0_base_values():
@@ -94,8 +113,9 @@ def test_singular_points_phi_half_closed_form():
 
 
 def test_singular_points_domain():
-    with pytest.raises(DomainError):
-        spectral.singular_points(0.0)
+    # phi = 0 is the homogeneous walk: no root family, no residue
+    assert spectral.singular_points(0.0) == []
+    assert spectral.residue_norms_origin(0.0, 0.6, 0.8j) == []
     with pytest.raises(DomainError):
         spectral.singular_points(1.0)
 
@@ -189,13 +209,15 @@ def test_xi_tilde0_series_matches_renewal():
     params = WalkParams.preset(1, 0.3)
     co = spectral.xi_tilde0_series(0.3, 40)
     v = np.array([params.alpha, params.beta])
+    psi = series.psi_origin_sequence(20, params)
     for n in range(0, 21):
-        assert np.max(np.abs(co[2 * n] @ v - series.psi_origin(n, params))) <= 1e-10
+        assert np.max(np.abs(co[2 * n] @ v - psi[n])) <= 1e-10
 
 
 def test_xi_tilde0_series_general_state():
     params = WalkParams(phi=0.77, alpha=0.48 + 0.6j, beta=complex(0, math.sqrt(1 - 0.48**2 - 0.36)))
     co = spectral.xi_tilde0_series(0.77, 24)
     v = np.array([params.alpha, params.beta])
+    psi = series.psi_origin_sequence(12, params)
     for n in range(0, 13):
-        assert np.max(np.abs(co[2 * n] @ v - series.psi_origin(n, params))) <= 1e-10
+        assert np.max(np.abs(co[2 * n] @ v - psi[n])) <= 1e-10

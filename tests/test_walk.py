@@ -11,31 +11,6 @@ from defectwalk.walk import DomainError, WalkParams
 SQRT2 = math.sqrt(2.0)
 
 
-def test_coin_away_from_origin_is_hadamard():
-    u = walk.coin_at(5, 0.3)
-    assert np.allclose(u, np.array([[1, 1], [1, -1]]) / SQRT2)
-
-
-def test_coin_at_origin_phase():
-    assert np.allclose(walk.coin_at(0, 0.0), np.array([[1, 1], [1, -1]]) / SQRT2)
-    assert np.allclose(
-        walk.coin_at(0, 0.25), 1j * np.array([[1, 1], [1, -1]]) / SQRT2
-    )
-
-
-def test_coin_is_unitary():
-    for phi in (0.0, 0.1, 0.7):
-        u = walk.coin_at(0, phi)
-        assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
-
-def test_coin_rejects_bad_phi():
-    with pytest.raises(DomainError):
-        walk.coin_at(0, 1.0)
-    with pytest.raises(DomainError):
-        walk.coin_at(3, -0.1)
-
-
 def test_params_validation():
     with pytest.raises(DomainError):
         WalkParams(phi=0.5, alpha=1.0, beta=1.0)
