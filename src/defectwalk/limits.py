@@ -54,6 +54,20 @@ def _ind(phi: float, lo: float, hi: float) -> float:
     return 1.0 if lo < phi < hi else 0.0
 
 
+def _family_weight(w: float) -> float:
+    """Origin weight ((1 - w)/(3 - 2w))^2 of one family, w = sqrt(2)*C+-.
+
+    Zero where w rounds to >= 1.  In exact arithmetic w < 1 inside the
+    family's region, but w -> 1 as phi -> 0 or 1, and sqrt(2)*C+ rounds to
+    1 or above for phi below ~2.7e-17, where the true weight is below 1e-31.
+    Dropping it keeps the geometric rate 1/(3 - 2w) below 1 wherever a
+    weight is nonzero.
+    """
+    if w >= 1:
+        return 0.0
+    return ((1 - w) / (3 - 2 * w)) ** 2
+
+
 def c_phi(phi: float, eta: int) -> float:
     """Long-time limit of the even-time return probability for the symmetric
     initial states.
@@ -67,21 +81,17 @@ def c_phi(phi: float, eta: int) -> float:
         raise DomainError(f"eta must be +1 or -1, got {eta}")
     t = TrigPack.from_phi(phi)
     if eta == 1:
-        w = SQRT2 * t.C_minus
-        return 4 * ((1 - w) / (3 - 2 * w)) ** 2 * _ind(phi, 0.25, 1.0)
-    w = SQRT2 * t.C_plus
-    return 4 * ((1 - w) / (3 - 2 * w)) ** 2 * _ind(phi, 0.0, 0.75)
+        return 4 * _family_weight(SQRT2 * t.C_minus) * _ind(phi, 0.25, 1.0)
+    return 4 * _family_weight(SQRT2 * t.C_plus) * _ind(phi, 0.0, 0.75)
 
 
 def _origin_weights(phi: float, alpha: complex, beta: complex):
     """The two point-mass weights at the origin: (Cp-family, Cm-family)."""
     t = TrigPack.from_phi(phi)
-    wp = SQRT2 * t.C_plus
-    wm = SQRT2 * t.C_minus
-    mu1 = ((1 - wp) / (3 - 2 * wp)) ** 2 * abs(alpha + 1j * beta) ** 2 * _ind(
+    mu1 = _family_weight(SQRT2 * t.C_plus) * abs(alpha + 1j * beta) ** 2 * _ind(
         phi, 0.0, 0.75
     )
-    mu2 = ((1 - wm) / (3 - 2 * wm)) ** 2 * abs(alpha - 1j * beta) ** 2 * _ind(
+    mu2 = _family_weight(SQRT2 * t.C_minus) * abs(alpha - 1j * beta) ** 2 * _ind(
         phi, 0.25, 1.0
     )
     return mu1, mu2
@@ -126,8 +136,6 @@ def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
         if mu == 0.0:
             continue
         rate = 1 / (3 - 2 * w)
-        if rate >= 1:
-            raise DomainError(f"geometric rate >= 1 at phi={phi}")
         total += 2 * (2 - w) * rate / (1 - rate) * mu
     return total
 

@@ -66,7 +66,7 @@ def rstar(n: int) -> Fraction:
     (-1)^(m-1) * C(2m-2, m-1) / (2^(2m-1) * m).  This closed form is the
     one forced by the generating function (-1 - z^2 + sqrt(1 + z^4)) / z; the
     triple-equivalence tests pin it against both the series expansion and
-    direct path enumeration.
+    the exact first-passage path sum.
     """
     if n <= 0:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -118,48 +118,45 @@ def _mat_add(a, b):
     )
 
 
-PATH_ORACLE_MAX_N = 23
+PATH_ORACLE_MAX_N = 401
 
 
 def path_oracle_coefficients(n: int) -> tuple:
-    """Brute-force expansion of the length-n first-passage matrix sum.
+    """Exact expansion of the length-n first-passage matrix sum.
 
-    Enumerates every step sequence that starts at site 1, stays >= 1 until
-    time n - 1, and lands on 0 at time n, accumulating the ordered product of
-    the half-line step matrices along each path (a pruned depth-first walk of
-    the full 2^(n-1) sequence tree, no memoization).  The sum is resolved in
-    the orthonormal basis {P, Q, R, S} under <A|B> = tr(A* B); returns the
-    four coefficients (p, q, r, s) as exact rationals.
+    Sums, over every step sequence that starts at site 1, stays >= 1 until
+    time n - 1, and lands on 0 at time n, the ordered product of the
+    half-line step matrices along the path.  Paths are not enumerated: a
+    dynamic program over positions carries, for each site x, the summed
+    integer product of every admissible prefix ending at x, one step at a
+    time, in O(n^2) matrix products.  A site x at time t is kept only while
+    x <= n - t, so it can still reach 0.  The sum is resolved in the
+    orthonormal basis {P, Q, R, S} under <A|B> = tr(A* B); returns the four
+    coefficients (p, q, r, s) as exact rationals.
     """
     if not 1 <= n <= PATH_ORACLE_MAX_N:
         raise DomainError(
-            f"path enumeration supports 1 <= n <= {PATH_ORACLE_MAX_N}, got {n}"
+            f"path oracle supports 1 <= n <= {PATH_ORACLE_MAX_N}, got {n}"
         )
     if n % 2 == 0:
         # a path from 1 to 0 has odd length; the matrix sum is empty
         return (Fraction(0),) * 4
 
-    ident = ((1, 0), (0, 1))
-    total = [((0, 0), (0, 0))]
-
-    def walk(t: int, x: int, prod):
-        if t == n:
-            if x == 0:
-                total[0] = _mat_add(total[0], prod)
-            return
-        remaining = n - t
-        # must be able to reach 0 in the remaining steps
-        if x > remaining:
-            return
-        # left step; leaving the half line is allowed only as the final move
-        if x - 1 >= 1 or (x - 1 == 0 and t + 1 == n):
-            walk(t + 1, x - 1, _mat_mul(_P2, prod))
-        # right step
-        if x + 1 <= n - (t + 1):
-            walk(t + 1, x + 1, _mat_mul(_Q2, prod))
-
-    walk(0, 1, ident)
-    m = total[0]
+    layer = {1: ((1, 0), (0, 1))}
+    for t in range(1, n + 1):
+        nxt = {}
+        for x, prod in layer.items():
+            # left step; leaving the half line is allowed only as the final move
+            if x - 1 >= 1 or (x - 1 == 0 and t == n):
+                left = _mat_mul(_P2, prod)
+                nxt[x - 1] = _mat_add(nxt[x - 1], left) if x - 1 in nxt else left
+            # right step
+            if x + 1 <= n - t:
+                right = _mat_mul(_Q2, prod)
+                nxt[x + 1] = _mat_add(nxt[x + 1], right) if x + 1 in nxt else right
+        layer = nxt
+    # after n steps only site 0 is left
+    m = layer[0]
     # m = sqrt(2)^n * Xi; coefficients of Xi in {P,Q,R,S} pick up 1/sqrt(2)
     # from each basis matrix, so every value is integer / 2^((n+1)/2).
     den = 2 ** ((n + 1) // 2)
@@ -180,18 +177,21 @@ def psi_origin_sequence(nmax: int, params: WalkParams) -> list:
 
     Psi_{2n}(0) = sum_{a=1}^{n} Xi*_{2a} Psi_{2(n-a)}(0) with Psi_0(0) the
     initial coin state.  This telescopes the sum over return-epoch
-    compositions in O(nmax^2) total instead of enumerating them.
+    compositions instead of enumerating them.  The coefficients come from
+    the closed form ``rstar``, stored in reverse, so each new amplitude is
+    one dot product of them with the history so far: O(nmax^2) flops, with
+    numpy over the history.  Returns nmax + 1 coin 2-vectors, indexed by n.
     """
     if nmax < 0:
         raise DomainError(f"n must be >= 0, got {nmax}")
     omega = params.omega
-    coeff = [omega * float(rstar(2 * a - 1)) / 2.0 for a in range(1, nmax + 1)]
-    vecs = [np.array([params.alpha, params.beta], dtype=complex)]
+    coeff_rev = np.array(
+        [omega * float(rstar(2 * a - 1)) / 2.0 for a in range(nmax, 0, -1)],
+        dtype=complex,
+    )
+    psi = np.empty((nmax + 1, 2), dtype=complex)
+    psi[0] = (params.alpha, params.beta)
     for k in range(1, nmax + 1):
-        acc = np.zeros(2, dtype=complex)
-        for a in range(1, k + 1):
-            c = coeff[a - 1]
-            if c != 0:
-                acc += c * vecs[k - a]
-        vecs.append(_RENEWAL_MATRIX @ acc)
-    return vecs
+        # coeff_rev[nmax - k:] holds the coefficients for a = k, ..., 1
+        psi[k] = _RENEWAL_MATRIX @ (coeff_rev[nmax - k:] @ psi[:k])
+    return list(psi)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectwalk import limits
 from defectwalk.walk import DomainError, WalkParams
@@ -78,6 +80,44 @@ def test_total_point_mass_is_subprobability():
         norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
         total = limits.total_point_mass(phi, a / norm, b / norm)
         assert 0.0 <= total <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("phi", [1e-20, 1e-300, 5e-324])
+def test_total_point_mass_tiny_phi(phi):
+    # sqrt(2)*C+ rounds above 1 here although the true weight is ~phi^2
+    total = limits.total_point_mass(phi, 0.6, 0.8j)
+    assert math.isfinite(total)
+    assert 0.0 <= total <= 1e-15
+
+
+@st.composite
+def _near_edge_phi(draw):
+    # phi uniform in [0, 1), or 1e-18 ... 1e-7 from 0, 1/4 or 3/4, on either
+    # side (reflected back into [0, 1) at 0)
+    if draw(st.booleans()):
+        return draw(st.floats(0, 1, exclude_max=True))
+    edge = draw(st.sampled_from((0.0, 0.25, 0.75)))
+    offset = draw(st.floats(1, 10, exclude_max=True)) * 10.0 ** -draw(st.integers(8, 18))
+    return abs(edge + draw(st.sampled_from((-1, 1))) * offset)
+
+
+@st.composite
+def _coin_states(draw):
+    parts = [draw(st.floats(-1, 1)) for _ in range(4)]
+    a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    if norm < 1e-3:
+        return 1.0, 0.0
+    return a / norm, b / norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=_near_edge_phi(), state=_coin_states())
+def test_total_point_mass_bounds_origin_value(phi, state):
+    a, b = state
+    total = limits.total_point_mass(phi, a, b)
+    assert math.isfinite(total)
+    assert 0.0 <= limits.mu_inf_origin(phi, a, b) <= total <= 1.0 + 1e-12
 
 
 def test_total_point_mass_matches_site_sum():

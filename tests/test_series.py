@@ -77,8 +77,46 @@ def test_path_oracle_basics():
     assert series.path_oracle_first_return(7) == Fraction(-1, 8)
 
 
+def _dfs_oracle(n):
+    # reference: the depth-first walk over every admissible step sequence
+    total = [((0, 0), (0, 0))]
+
+    def walk_from(t, x, prod):
+        if t == n:
+            if x == 0:
+                total[0] = series._mat_add(total[0], prod)
+            return
+        if x - 1 >= 1 or (x - 1 == 0 and t + 1 == n):
+            walk_from(t + 1, x - 1, series._mat_mul(series._P2, prod))
+        if x + 1 <= n - (t + 1):
+            walk_from(t + 1, x + 1, series._mat_mul(series._Q2, prod))
+
+    walk_from(0, 1, ((1, 0), (0, 1)))
+    m = total[0]
+    den = 2 ** ((n + 1) // 2)
+    return (
+        Fraction(m[0][0] + m[0][1], den),
+        Fraction(m[1][0] - m[1][1], den),
+        Fraction(m[0][0] - m[0][1], den),
+        Fraction(m[1][0] + m[1][1], den),
+    )
+
+
+def test_path_oracle_matches_dfs_reference():
+    for n in range(1, 16, 2):
+        assert series.path_oracle_coefficients(n) == _dfs_oracle(n)
+
+
+def test_path_oracle_matches_first_return_series():
+    fr = series.first_return_series(101)
+    for n in range(1, 102):
+        assert series.path_oracle_first_return(n) == fr[n]
+    n = series.PATH_ORACLE_MAX_N
+    assert series.path_oracle_first_return(n) == series.first_return_series(n)[n]
+
+
 def test_path_oracle_q_s_vanish():
-    for n in range(1, 14):
+    for n in range(1, 102):
         _, q, _, s = series.path_oracle_coefficients(n)
         assert q == 0
         assert s == 0
@@ -151,3 +189,28 @@ def test_renewal_matches_evolution_across_grid():
                 d = np.max(np.abs(renewal[n] - state.amplitude(0)))
                 worst = max(worst, d)
     assert worst <= 1e-10
+
+
+def _psi_loop_reference(nmax, params):
+    # the renewal convolution as a plain double loop over 2-vectors
+    coeff = [params.omega * float(series.rstar(2 * a - 1)) / 2.0 for a in range(1, nmax + 1)]
+    vecs = [np.array([params.alpha, params.beta], dtype=complex)]
+    m = np.array([[-1.0, 1.0], [-1.0, -1.0]], dtype=complex)
+    for k in range(1, nmax + 1):
+        acc = np.zeros(2, dtype=complex)
+        for a in range(1, k + 1):
+            acc += coeff[a - 1] * vecs[k - a]
+        vecs.append(m @ acc)
+    return vecs
+
+
+def test_psi_origin_matches_loop_reference():
+    worst = 0.0
+    for phi, v in zip((0.0, 0.1, 0.3, 0.5, 0.9), _random_states(5, seed=11)):
+        params = WalkParams(phi=phi, alpha=complex(v[0]), beta=complex(v[1]))
+        for nmax in (0, 1, 2, 50, 300):
+            got = series.psi_origin_sequence(nmax, params)
+            ref = _psi_loop_reference(nmax, params)
+            assert len(got) == nmax + 1
+            worst = max(worst, float(np.max(np.abs(np.asarray(got) - np.asarray(ref)))))
+    assert worst <= 1e-13
