@@ -12,7 +12,6 @@ from .walk import (
     WalkState,
     evolve,
     measure,
-    return_probability,
     step,
     time_average,
 )
@@ -37,7 +36,6 @@ from .spectral import (
 from .limits import (
     StationaryComparison,
     Theta0,
-    TrigPack,
     asymptotic_psi_origin,
     c_phi,
     cgmv_limit_origin,
@@ -56,7 +54,6 @@ __all__ = [
     "SpectralPoint",
     "StationaryComparison",
     "Theta0",
-    "TrigPack",
     "WalkParams",
     "WalkState",
     "asymptotic_psi_origin",
@@ -74,7 +71,6 @@ __all__ = [
     "path_oracle_first_return",
     "psi_origin_sequence",
     "residue_norms_origin",
-    "return_probability",
     "rstar",
     "rstar_series",
     "singular_points",

@@ -1,14 +1,24 @@
 """Closed-form limit results for the defect walk.
 
 Collects the long-time return probability, the time-averaged limit measure
-at every site (a pair of geometric point-mass profiles), the stationary
-measure of the eigenvector profile, the CMV-derived spelling of the origin
-value, and the oscillation frequency machinery behind the large-time
-amplitude asymptotics at the origin.
+at every site, the stationary measure of the eigenvector profile, the
+CMV-derived spelling of the origin value, and the oscillation frequency
+machinery behind the large-time amplitude asymptotics at the origin.
 
-Notation used throughout: C = cos(2*pi*phi), S = sin(2*pi*phi),
-E+- = C +- S, and Cp/Cm = cos(2*pi*phi +- pi/4), so that
-sqrt(2)*Cp = E- and sqrt(2)*Cm = E+.
+The time-averaged limit measure is a sum of two geometric point-mass
+families, one per trapped eigenmode of the defect.  ``_FAMILIES`` maps each
+family's label eta = +-1 to the open phi interval where it carries mass.
+Family eta has the angle a = 2*pi*phi - eta*pi/4, the energy
+w = sqrt(2)*cos(a) = C + eta*S (C = cos(2*pi*phi), S = sin(2*pi*phi)), and
+projects the coin state onto alpha - eta*i*beta.  ``_families`` evaluates
+both, and ``c_phi``, ``mu_inf``, ``mu_inf_origin``, ``total_point_mass``,
+``asymptotic_psi_origin`` and ``compare_stationary_timeavg`` read it.
+
+``cgmv_limit_origin`` and ``stationary_measure`` do not read the table: they
+spell the two energies inline as C +- S.  The CMV-equality check and the
+stationary-coincidence check each compare one of them with a function that
+reads the table, so they stay a comparison of two independent spellings
+rather than of one formula with itself.
 """
 
 from __future__ import annotations
@@ -20,106 +30,77 @@ import numpy as np
 
 from .walk import SQRT2, DomainError, _check_phi
 
-
-@dataclass(frozen=True)
-class TrigPack:
-    """All trig combinations of phi used by the closed forms."""
-
-    phi: float
-    C: float
-    S: float
-    E_plus: float
-    E_minus: float
-    C_plus: float
-    C_minus: float
-
-    @classmethod
-    def from_phi(cls, phi: float) -> "TrigPack":
-        C = math.cos(2 * math.pi * phi)
-        S = math.sin(2 * math.pi * phi)
-        return cls(
-            phi=phi,
-            C=C,
-            S=S,
-            E_plus=C + S,
-            E_minus=C - S,
-            C_plus=math.cos(2 * math.pi * phi + math.pi / 4),
-            C_minus=math.cos(2 * math.pi * phi - math.pi / 4),
-        )
+# eta -> the open phi interval where family eta carries mass.  At each end
+# its energy w is 1, where the weight ((1 - w)/(3 - 2w))^2 vanishes, so the
+# choice of open over closed intervals does not change any value.
+_FAMILIES = {-1: (0.0, 0.75), 1: (0.25, 1.0)}
 
 
-def _ind(phi: float, lo: float, hi: float) -> float:
-    """Open-interval indicator; both region boundaries are exactly where the
-    weight prefactor vanishes, so the convention is value-neutral."""
-    return 1.0 if lo < phi < hi else 0.0
+def _angle(phi: float, eta: int) -> float:
+    """Angle a of family eta: sqrt(2)*cos(a) = C + eta*S, sqrt(2)*sin(a) = S - eta*C."""
+    return 2 * math.pi * phi - eta * math.pi / 4
 
 
 def _family_weight(w: float) -> float:
-    """Origin weight ((1 - w)/(3 - 2w))^2 of one family, w = sqrt(2)*C+-.
+    """Origin weight ((1 - w)/(3 - 2w))^2 of one family with energy w.
 
     Zero where w rounds to >= 1.  In exact arithmetic w < 1 inside the
-    family's region, but w -> 1 as phi -> 0 or 1, and sqrt(2)*C+ rounds to
-    1 or above for phi below ~2.7e-17, where the true weight is below 1e-31.
-    Dropping it keeps the geometric rate 1/(3 - 2w) below 1 wherever a
-    weight is nonzero.
+    family's interval, but w -> 1 as phi -> 0 or 1, and the eta = -1 energy
+    rounds to 1 or above for phi below ~2.7e-17, where the true weight is
+    below 1e-31.  Dropping it keeps the geometric rate 1/(3 - 2w) below 1
+    wherever a weight is nonzero.
     """
     if w >= 1:
         return 0.0
     return ((1 - w) / (3 - 2 * w)) ** 2
 
 
+def _families(phi: float, alpha: complex, beta: complex):
+    """Yield (eta, w, mu) for eta = -1, +1: the family's energy w and its
+    point mass mu at the origin, which is zero outside its interval."""
+    for eta, (lo, hi) in _FAMILIES.items():
+        w = SQRT2 * math.cos(_angle(phi, eta))
+        mu = 0.0
+        if lo < phi < hi:
+            mu = _family_weight(w) * abs(alpha - eta * 1j * beta) ** 2
+        yield eta, w, mu
+
+
 def c_phi(phi: float, eta: int) -> float:
     """Long-time limit of the even-time return probability for the symmetric
     initial states.
 
-    4*((1 - sqrt(2)Cm)/(3 - 2 sqrt(2)Cm))^2 on phi in (1/4, 1) for eta = +1;
-    the Cp / (0, 3/4) twin for eta = -1.  Zero at phi = 0 (homogeneous walk,
-    no localization).
+    4*((1 - w)/(3 - 2w))^2 with the energy w of family eta, on its interval
+    (1/4, 1) for eta = +1 and (0, 3/4) for eta = -1, and zero outside it.
+    Zero at phi = 0 (homogeneous walk, no localization).
     """
     _check_phi(phi)
-    if eta not in (1, -1):
+    if eta not in _FAMILIES:
         raise DomainError(f"eta must be +1 or -1, got {eta}")
-    t = TrigPack.from_phi(phi)
-    if eta == 1:
-        return 4 * _family_weight(SQRT2 * t.C_minus) * _ind(phi, 0.25, 1.0)
-    return 4 * _family_weight(SQRT2 * t.C_plus) * _ind(phi, 0.0, 0.75)
-
-
-def _origin_weights(phi: float, alpha: complex, beta: complex):
-    """The two point-mass weights at the origin: (Cp-family, Cm-family)."""
-    t = TrigPack.from_phi(phi)
-    mu1 = _family_weight(SQRT2 * t.C_plus) * abs(alpha + 1j * beta) ** 2 * _ind(
-        phi, 0.0, 0.75
-    )
-    mu2 = _family_weight(SQRT2 * t.C_minus) * abs(alpha - 1j * beta) ** 2 * _ind(
-        phi, 0.25, 1.0
-    )
-    return mu1, mu2
+    # alpha = 1, beta = 0 projects with unit weight onto both families
+    return 4 * next(mu for e, _, mu in _families(phi, 1.0, 0.0) if e == eta)
 
 
 def mu_inf_origin(phi: float, alpha: complex, beta: complex) -> float:
     """Time-averaged limit measure at the origin."""
-    _check_phi(phi)
-    mu1, mu2 = _origin_weights(phi, alpha, beta)
-    return mu1 + mu2
+    return mu_inf(0, phi, alpha, beta)
 
 
 def mu_inf(x: int, phi: float, alpha: complex, beta: complex) -> float:
     """Time-averaged limit measure at site x: two geometric profiles.
 
-    Symmetric in x <-> -x, decaying with rates 1/(3 - 2 sqrt(2) C+-).
+    Family eta puts its origin mass mu at x = 0 and (2 - w) mu / (3 - 2w)^|x|
+    at x != 0, so the measure is symmetric in x <-> -x.  A family without
+    mass is skipped: its rate can exceed 1, and the power would overflow at
+    large |x|.
     """
     _check_phi(phi)
-    mu1, mu2 = _origin_weights(phi, alpha, beta)
-    if x == 0:
-        return mu1 + mu2
-    t = TrigPack.from_phi(phi)
-    wp = SQRT2 * t.C_plus
-    wm = SQRT2 * t.C_minus
-    ax = abs(x)
-    return (2 - wp) * (1 / (3 - 2 * wp)) ** ax * mu1 + (2 - wm) * (
-        1 / (3 - 2 * wm)
-    ) ** ax * mu2
+    total = 0.0
+    for _, w, mu in _families(phi, alpha, beta):
+        if x != 0 and mu != 0.0:
+            mu *= (2 - w) * (1 / (3 - 2 * w)) ** abs(x)
+        total += mu
+    return total
 
 
 def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
@@ -129,10 +110,9 @@ def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
     contributes nothing to any fixed site's time average.
     """
     _check_phi(phi)
-    mu1, mu2 = _origin_weights(phi, alpha, beta)
-    t = TrigPack.from_phi(phi)
-    total = mu1 + mu2
-    for w, mu in ((SQRT2 * t.C_plus, mu1), (SQRT2 * t.C_minus, mu2)):
+    families = list(_families(phi, alpha, beta))
+    total = sum(mu for _, _, mu in families)
+    for _, w, mu in families:
         if mu == 0.0:
             continue
         rate = 1 / (3 - 2 * w)
@@ -165,8 +145,8 @@ def theta0(E: float) -> Theta0:
 
 
 def _sgn_or_zero(v: float) -> float:
-    # 0/0 guard: at S = C (resp. S = -C) the accompanying weight vanishes,
-    # so the continuous extension is 0
+    # 0/0 guard: at S = eta*C the accompanying sin(theta0) vanishes, so the
+    # continuous extension is 0
     if abs(v) < 1e-14:
         return 0.0
     return 1.0 if v > 0 else -1.0
@@ -177,32 +157,25 @@ def asymptotic_psi_origin(
 ) -> tuple:
     """Leading large-n oscillation of the origin amplitude at time 2n.
 
-    Returns (Re L, Im L, Re R, Im R).  The (alpha - i beta) part oscillates
-    at theta0(E+), the (alpha + i beta) part at theta0(E-), each gated by its
-    localization region.
+    Returns (Re L, Im L, Re R, Im R).  The (alpha - eta i beta) part of
+    family eta oscillates at theta0(w) for its energy w, and is present only
+    where the family carries mass.
     """
     _check_phi(phi)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    t = TrigPack.from_phi(phi)
     psi_l = 0j
     psi_r = 0j
-    if _ind(phi, 0.25, 1.0):
-        th = theta0(t.E_plus)
+    for eta, w, mu in _families(phi, alpha, beta):
+        if mu == 0.0:
+            continue
+        th = theta0(w)
         ang = n * math.atan2(th.sin0, th.cos0)
-        w = (1 - t.E_plus) / (3 - 2 * t.E_plus)
-        osc = math.cos(ang) + 1j * _sgn_or_zero(t.S - t.C) * math.sin(ang)
-        term = (alpha - 1j * beta) * w * osc
+        sign = _sgn_or_zero(SQRT2 * math.sin(_angle(phi, eta)))
+        osc = math.cos(ang) + 1j * sign * math.sin(ang)
+        term = (alpha - eta * 1j * beta) * ((1 - w) / (3 - 2 * w)) * osc
         psi_l += term
-        psi_r += 1j * term
-    if _ind(phi, 0.0, 0.75):
-        th = theta0(t.E_minus)
-        ang = n * math.atan2(th.sin0, th.cos0)
-        w = (1 - t.E_minus) / (3 - 2 * t.E_minus)
-        osc = math.cos(ang) + 1j * _sgn_or_zero(t.S + t.C) * math.sin(ang)
-        term = (alpha + 1j * beta) * w * osc
-        psi_l += term
-        psi_r += -1j * term
+        psi_r += eta * 1j * term
     return (psi_l.real, psi_l.imag, psi_r.real, psi_r.imag)
 
 
@@ -223,20 +196,25 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
             "phi must lie in (0, 1) for the stationary profile: at phi = 0 the "
             "rate 1/(3 - 2C -+ 2S) is 1, so the profile does not decay"
         )
-    if alpha_mod2 <= 0:
-        raise DomainError(f"alpha_mod2 must be > 0, got {alpha_mod2}")
-    t = TrigPack.from_phi(phi)
+    if not 0 < alpha_mod2 < math.inf:
+        raise DomainError(f"alpha_mod2 must be finite and > 0, got {alpha_mod2}")
+    C = math.cos(2 * math.pi * phi)
+    S = math.sin(2 * math.pi * phi)
     if branch == BRANCH_PLUS:
-        gamma = 2 - t.C - t.S
-        rate = 1 / (3 - 2 * t.C - 2 * t.S)
+        gamma = 2 - C - S
+        rate = 1 / (3 - 2 * C - 2 * S)
     elif branch == BRANCH_MINUS:
-        gamma = 2 - t.C + t.S
-        rate = 1 / (3 - 2 * t.C + 2 * t.S)
+        gamma = 2 - C + S
+        rate = 1 / (3 - 2 * C + 2 * S)
     else:
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if x == 0:
         return 2 * alpha_mod2
     return 2 * alpha_mod2 * rate ** abs(x) * gamma
+
+
+# the one family that each branch's state beta = +-i alpha projects onto
+_BRANCH_ETA = {BRANCH_PLUS: 1, BRANCH_MINUS: -1}
 
 
 @dataclass(frozen=True)
@@ -260,26 +238,20 @@ def compare_stationary_timeavg(
     Uses the branch's own coin state (beta = +-i alpha, |alpha|^2 = 1/2) and
     unit stationary amplitude.  The ratio must be constant over |x| <= xmax;
     the measures coincide when the stationary origin mass |c|^2 equals
-    2 (1 - sqrt(2) C-+)^2 / (3 - 2 sqrt(2) C-+)^2.
+    2 (1 - w)^2 / (3 - 2w)^2 for the energy w of the branch's family.
     """
     _check_phi(phi)
-    t = TrigPack.from_phi(phi)
-    if branch == BRANCH_PLUS:
-        alpha, beta = 1 / SQRT2, 1j / SQRT2
-        w = SQRT2 * t.C_minus
-        if not 0.25 < phi < 1.0:
-            raise DomainError(
-                f"branch 'plus' degenerates (zero weight) at phi={phi}"
-            )
-    elif branch == BRANCH_MINUS:
-        alpha, beta = 1 / SQRT2, -1j / SQRT2
-        w = SQRT2 * t.C_plus
-        if not 0.0 < phi < 0.75:
-            raise DomainError(
-                f"branch 'minus' degenerates (zero weight) at phi={phi}"
-            )
-    else:
+    if branch not in _BRANCH_ETA:
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    if xmax < 0:
+        raise DomainError(f"xmax must be >= 0, got {xmax}")
+    eta = _BRANCH_ETA[branch]
+    lo, hi = _FAMILIES[eta]
+    if not lo < phi < hi:
+        raise DomainError(
+            f"branch {branch!r} degenerates (zero weight) at phi={phi}"
+        )
+    alpha, beta = 1 / SQRT2, eta * 1j / SQRT2
     ratios = []
     for x in range(-xmax, xmax + 1):
         num = mu_inf(x, phi, alpha, beta)
@@ -288,6 +260,7 @@ def compare_stationary_timeavg(
     ratios = np.asarray(ratios)
     ratio = float(ratios.mean())
     max_dev = float(np.max(np.abs(ratios - ratio)))
+    w = next(w for e, w, _ in _families(phi, alpha, beta) if e == eta)
     c_sq = 2 * (1 - w) ** 2 / (3 - 2 * w) ** 2
     return StationaryComparison(
         phi=phi,
@@ -302,21 +275,18 @@ def compare_stationary_timeavg(
 def cgmv_limit_origin(phi: float, alpha: complex, beta: complex) -> float:
     """Origin limit measure spelled through the energies E+- = C +- S.
 
-    Algebraically the same function as ``mu_inf_origin`` (sqrt(2) C-+ = E+-);
-    kept as a separate spelled-out formula for cross-checking.  Zero at
-    phi = 0, where neither localization region applies.
+    Algebraically the same function as ``mu_inf_origin``; kept as a separate
+    spelled-out formula, independent of the family table, for cross-checking.
+    Zero at phi = 0, where neither localization region applies.
     """
     _check_phi(phi)
-    t = TrigPack.from_phi(phi)
+    C = math.cos(2 * math.pi * phi)
+    S = math.sin(2 * math.pi * phi)
+    E_plus = C + S
+    E_minus = C - S
     out = 0.0
-    out += (
-        ((1 - t.E_plus) / (3 - 2 * t.E_plus)) ** 2
-        * abs(alpha - 1j * beta) ** 2
-        * _ind(phi, 0.25, 1.0)
-    )
-    out += (
-        ((1 - t.E_minus) / (3 - 2 * t.E_minus)) ** 2
-        * abs(alpha + 1j * beta) ** 2
-        * _ind(phi, 0.0, 0.75)
-    )
+    if 0.25 < phi < 1.0:
+        out += ((1 - E_plus) / (3 - 2 * E_plus)) ** 2 * abs(alpha - 1j * beta) ** 2
+    if 0.0 < phi < 0.75:
+        out += ((1 - E_minus) / (3 - 2 * E_minus)) ** 2 * abs(alpha + 1j * beta) ** 2
     return out

@@ -192,11 +192,6 @@ def measure(state: WalkState) -> Measure:
     return Measure(offset=state.offset, values=values)
 
 
-def return_probability(params: WalkParams, n: int) -> float:
-    """Probability of finding the walker at the origin at time n."""
-    return measure(evolve(params, n)).at(0)
-
-
 def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     """Average of the site measures over times 0 .. T-1, restricted to |x| <= xmax.
 

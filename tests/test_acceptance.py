@@ -63,7 +63,7 @@ def test_01_hadamard_baseline_return_probabilities():
     params = WalkParams.preset(1, 0.0)
     t0 = time.perf_counter()
     worst = max(
-        abs(walk.return_probability(params, n) - ref)
+        abs(walk.measure(walk.evolve(params, n)).at(0) - ref)
         for n, ref in zip(range(2, 15, 2), printed)
     )
     elapsed = time.perf_counter() - t0

@@ -255,6 +255,17 @@ def test_negative_xmax_is_usage_error(capsys, argv):
     assert "--xmax" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_stationary_alpha_mod2_outside_domain_is_usage_error(capsys, value):
+    code, out, err = run(
+        capsys, "stationary", "--phi", "1/2", "--branch", "plus", "--xmax", "1",
+        "--alpha-mod2", value,
+    )
+    assert code == 2
+    assert out == ""
+    assert "alpha_mod2" in err
+
+
 def test_compare_max_error_propagates_nan(capsys, monkeypatch):
     real = cli.limits.mu_inf
     monkeypatch.setattr(

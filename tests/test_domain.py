@@ -1,7 +1,9 @@
 """One domain rule for the defect phase: every function that takes phi
 rejects anything outside [0, 1), NaN and +-inf included, with DomainError."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +37,15 @@ PHI_TAKERS = {
 def test_phi_outside_domain_is_domain_error(name, phi):
     with pytest.raises(DomainError, match=r"phi must lie in \[0, 1\)"):
         PHI_TAKERS[name](phi)
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so no check in the package may be one
+    src = Path(limits.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

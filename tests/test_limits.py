@@ -50,14 +50,22 @@ def test_mu_inf_symmetric_in_x():
 def test_mu_inf_geometric_rates():
     # away from the origin the profile of a single-branch state is geometric
     phi = 0.6
-    t = limits.TrigPack.from_phi(phi)
-    alpha, beta = 1 / SQRT2, 1j / SQRT2  # kills the C+ family
-    rate = 1 / (3 - 2 * SQRT2 * t.C_minus)
+    alpha, beta = 1 / SQRT2, 1j / SQRT2  # kills the eta = -1 family
+    rate = 1 / (3 - 2 * SQRT2 * math.cos(2 * math.pi * phi - math.pi / 4))
     for x in range(1, 10):
         ratio = limits.mu_inf(x + 1, phi, alpha, beta) / limits.mu_inf(
             x, phi, alpha, beta
         )
         assert ratio == pytest.approx(rate, abs=1e-14)
+
+
+def test_mu_inf_far_sites():
+    # at phi = 1/8 the massless eta = +1 family has rate 1/(3 - 2 sqrt2) > 5,
+    # whose 500th power overflows a float
+    p = WalkParams.preset(-1, 0.125)
+    far = limits.mu_inf(500, 0.125, p.alpha, p.beta)
+    assert 0.0 <= far <= 1e-200
+    assert limits.mu_inf(-500, 0.125, 0.6, 0.8j) == limits.mu_inf(500, 0.125, 0.6, 0.8j)
 
 
 def test_mu_inf_vanishes_for_homogeneous_coin():
@@ -149,13 +157,9 @@ def test_theta0_unit_modulus_and_domain():
 def test_theta0_sqrt_equals_abs_trig_difference():
     # for E = C + eta*S the discriminant sqrt(2 - E^2) equals |S - eta*C|
     for phi in PHI_GRID:
-        t = limits.TrigPack.from_phi(phi)
-        assert math.sqrt(2 - t.E_plus**2) == pytest.approx(
-            abs(t.S - t.C), abs=1e-12
-        )
-        assert math.sqrt(2 - t.E_minus**2) == pytest.approx(
-            abs(t.S + t.C), abs=1e-12
-        )
+        C, S = math.cos(2 * math.pi * phi), math.sin(2 * math.pi * phi)
+        assert math.sqrt(2 - (C + S) ** 2) == pytest.approx(abs(S - C), abs=1e-12)
+        assert math.sqrt(2 - (C - S) ** 2) == pytest.approx(abs(S + C), abs=1e-12)
 
 
 def test_asymptotic_vanishes_outside_regions():
@@ -204,8 +208,9 @@ def test_stationary_measure_examples():
 def test_stationary_measure_domain():
     with pytest.raises(DomainError):
         limits.stationary_measure(0, 0.0, 0.5, limits.BRANCH_PLUS)
-    with pytest.raises(DomainError):
-        limits.stationary_measure(0, 0.5, -1.0, limits.BRANCH_PLUS)
+    for alpha_mod2 in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="alpha_mod2"):
+            limits.stationary_measure(0, 0.5, alpha_mod2, limits.BRANCH_PLUS)
     with pytest.raises(DomainError):
         limits.stationary_measure(0, 0.5, 0.5, "middling")
 
@@ -241,6 +246,13 @@ def test_compare_stationary_degenerate_region():
         limits.compare_stationary_timeavg(0.8, limits.BRANCH_MINUS)
 
 
+def test_compare_stationary_negative_xmax():
+    with pytest.raises(DomainError, match="xmax"):
+        limits.compare_stationary_timeavg(0.5, limits.BRANCH_PLUS, xmax=-1)
+    cmp = limits.compare_stationary_timeavg(0.5, limits.BRANCH_PLUS, xmax=0)
+    assert cmp.constant and cmp.max_deviation == 0.0
+
+
 def test_cgmv_spelling_agrees_everywhere():
     states = [
         (1 / SQRT2, 1j / SQRT2),
@@ -259,3 +271,103 @@ def test_cgmv_zero_cases():
     assert limits.cgmv_limit_origin(7 / 8, 1j / SQRT2, 1 / SQRT2) == 0.0
     assert limits.cgmv_limit_origin(0.2, 1j / SQRT2, -1 / SQRT2) == 0.0
     assert limits.cgmv_limit_origin(0.0, 0.6, 0.8j) == 0.0
+
+
+# Reference: the closed forms as two hand-written branches, one per family,
+# with the trig spelled out per branch (Cp/Cm = cos(2 pi phi +- pi/4),
+# E+- = C +- S), independent of the family table in ``limits``.
+def _ref_weight(w):
+    return 0.0 if w >= 1 else ((1 - w) / (3 - 2 * w)) ** 2
+
+
+def _ref_ind(phi, lo, hi):
+    return 1.0 if lo < phi < hi else 0.0
+
+
+def _ref_origin(phi, alpha, beta):
+    wp = SQRT2 * math.cos(2 * math.pi * phi + math.pi / 4)
+    wm = SQRT2 * math.cos(2 * math.pi * phi - math.pi / 4)
+    mu1 = _ref_weight(wp) * abs(alpha + 1j * beta) ** 2 * _ref_ind(phi, 0.0, 0.75)
+    mu2 = _ref_weight(wm) * abs(alpha - 1j * beta) ** 2 * _ref_ind(phi, 0.25, 1.0)
+    return wp, wm, mu1, mu2
+
+
+def _ref_mu_inf(x, phi, alpha, beta):
+    wp, wm, mu1, mu2 = _ref_origin(phi, alpha, beta)
+    if x == 0:
+        return mu1 + mu2
+    ax = abs(x)
+    return (2 - wp) * (1 / (3 - 2 * wp)) ** ax * mu1 + (2 - wm) * (
+        1 / (3 - 2 * wm)
+    ) ** ax * mu2
+
+
+def _ref_total_point_mass(phi, alpha, beta):
+    wp, wm, mu1, mu2 = _ref_origin(phi, alpha, beta)
+    total = mu1 + mu2
+    for w, mu in ((wp, mu1), (wm, mu2)):
+        if mu != 0.0:
+            rate = 1 / (3 - 2 * w)
+            total += 2 * (2 - w) * rate / (1 - rate) * mu
+    return total
+
+
+def _ref_c_phi(phi, eta):
+    wp, wm, _, _ = _ref_origin(phi, 1.0, 0.0)
+    if eta == 1:
+        return 4 * _ref_weight(wm) * _ref_ind(phi, 0.25, 1.0)
+    return 4 * _ref_weight(wp) * _ref_ind(phi, 0.0, 0.75)
+
+
+def _ref_asymptotic(n, phi, alpha, beta):
+    C, S = math.cos(2 * math.pi * phi), math.sin(2 * math.pi * phi)
+
+    def sgn(v):
+        return 0.0 if abs(v) < 1e-14 else math.copysign(1.0, v)
+
+    def term(E, proj, trig_sign):
+        den = 3 - 2 * E
+        cos0 = -((1 - E) ** 2) / den
+        sin0 = (2 - E) * math.sqrt(max(0.0, 2 - E * E)) / den
+        ang = n * math.atan2(sin0, cos0)
+        osc = math.cos(ang) + 1j * sgn(trig_sign) * math.sin(ang)
+        return proj * ((1 - E) / den) * osc
+
+    psi_l = psi_r = 0j
+    if 0.25 < phi < 1.0:
+        t = term(C + S, alpha - 1j * beta, S - C)
+        psi_l += t
+        psi_r += 1j * t
+    if 0.0 < phi < 0.75:
+        t = term(C - S, alpha + 1j * beta, S + C)
+        psi_l += t
+        psi_r += -1j * t
+    return (psi_l.real, psi_l.imag, psi_r.real, psi_r.imag)
+
+
+def test_closed_forms_match_two_branch_reference():
+    rng = np.random.default_rng(17)
+    edges = [0.0, 1e-20, 5e-324, 0.25 - 1e-12, 0.25 + 1e-12, 0.75 - 1e-12,
+             0.75 + 1e-12, 1 - 1e-16]
+    for phi in edges + [float(p) for p in rng.random(60)]:
+        for eta in (1, -1):
+            assert limits.c_phi(phi, eta) == _ref_c_phi(phi, eta)
+        v = rng.normal(size=4)
+        a, b = complex(v[0], v[1]), complex(v[2], v[3])
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        states = ((a / norm, b / norm), (0.6, 0.8j), (1 / SQRT2, -1j / SQRT2))
+        for alpha, beta in states:
+            for x in range(-20, 21):
+                assert limits.mu_inf(x, phi, alpha, beta) == _ref_mu_inf(
+                    x, phi, alpha, beta
+                )
+            assert limits.mu_inf_origin(phi, alpha, beta) == _ref_mu_inf(
+                0, phi, alpha, beta
+            )
+            assert limits.total_point_mass(phi, alpha, beta) == (
+                _ref_total_point_mass(phi, alpha, beta)
+            )
+            for n in (1, 7, 300, 900):
+                got = limits.asymptotic_psi_origin(n, phi, alpha, beta)
+                ref = _ref_asymptotic(n, phi, alpha, beta)
+                assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-10

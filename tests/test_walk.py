@@ -78,17 +78,21 @@ def test_four_step_origin_mass_with_defect():
     assert mu.at(0) == pytest.approx(2 * (3 - 2 * SQRT2) / 16, abs=1e-12)
 
 
+def _return_probability(params, n):
+    return walk.measure(walk.evolve(params, n)).at(0)
+
+
 def test_return_probability_hadamard_sequence():
     params = WalkParams.preset(1, 0.0)
     expected = {2: 0.5, 4: 0.125, 6: 0.125, 8: 0.0703125}
     for n, val in expected.items():
-        assert walk.return_probability(params, n) == pytest.approx(val, abs=1e-12)
+        assert _return_probability(params, n) == pytest.approx(val, abs=1e-12)
 
 
 def test_return_probability_odd_times_vanish():
     for params in (WalkParams.preset(1, 0.0), WalkParams.preset(-1, 0.37)):
-        assert walk.return_probability(params, 3) == 0.0
-        assert walk.return_probability(params, 7) == 0.0
+        assert _return_probability(params, 3) == 0.0
+        assert _return_probability(params, 7) == 0.0
 
 
 def test_time_average_single_term():
