@@ -16,7 +16,6 @@ from .walk import (
     time_average,
 )
 from .series import (
-    PowerSeries,
     first_return_series,
     path_oracle_first_return,
     psi_origin_sequence,
@@ -35,30 +34,24 @@ from .spectral import (
 )
 from .limits import (
     StationaryComparison,
-    Theta0,
     asymptotic_psi_origin,
-    c_phi,
     cgmv_limit_origin,
     compare_stationary_timeavg,
     mu_inf,
     mu_inf_origin,
     stationary_measure,
-    theta0,
     total_point_mass,
 )
 
 __all__ = [
     "DomainError",
     "Measure",
-    "PowerSeries",
     "SpectralPoint",
     "StationaryComparison",
-    "Theta0",
     "WalkParams",
     "WalkState",
     "asymptotic_psi_origin",
     "big_lambda0",
-    "c_phi",
     "cgmv_limit_origin",
     "compare_stationary_timeavg",
     "evolve",
@@ -77,7 +70,6 @@ __all__ = [
     "sqrt1z4_series",
     "stationary_measure",
     "step",
-    "theta0",
     "time_average",
     "total_point_mass",
     "xi_tilde0_series",

@@ -52,6 +52,8 @@ def _parse_complex(token: str, name: str) -> complex:
 def _resolve_state(args) -> tuple:
     """(alpha, beta) from --eta or --alpha/--beta flags."""
     if args.alpha is not None or args.beta is not None:
+        if args.eta is not None:
+            raise DomainError("--eta cannot be combined with --alpha/--beta")
         if args.alpha is None or args.beta is None:
             raise DomainError("--alpha and --beta must be given together")
         alpha = _parse_complex(args.alpha, "alpha")

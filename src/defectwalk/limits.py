@@ -1,9 +1,9 @@
 """Closed-form limit results for the defect walk.
 
-Collects the long-time return probability, the time-averaged limit measure
-at every site, the stationary measure of the eigenvector profile, the
-CMV-derived spelling of the origin value, and the oscillation frequency
-machinery behind the large-time amplitude asymptotics at the origin.
+Collects the time-averaged limit measure at every site and its summed point
+mass, the stationary measure of the eigenvector profile, the CMV-derived
+spelling of the origin value, and the leading large-time oscillation of the
+amplitude at the origin.
 
 The time-averaged limit measure is a sum of two geometric point-mass
 families, one per trapped eigenmode of the defect.  ``_FAMILIES`` maps each
@@ -11,7 +11,7 @@ family's label eta = +-1 to the open phi interval where it carries mass.
 Family eta has the angle a = 2*pi*phi - eta*pi/4, the energy
 w = sqrt(2)*cos(a) = C + eta*S (C = cos(2*pi*phi), S = sin(2*pi*phi)), and
 projects the coin state onto alpha - eta*i*beta.  ``_families`` evaluates
-both, and ``c_phi``, ``mu_inf``, ``mu_inf_origin``, ``total_point_mass``,
+both, and ``mu_inf``, ``mu_inf_origin``, ``total_point_mass``,
 ``asymptotic_psi_origin`` and ``compare_stationary_timeavg`` read it.
 
 ``cgmv_limit_origin`` and ``stationary_measure`` do not read the table: they
@@ -66,21 +66,6 @@ def _families(phi: float, alpha: complex, beta: complex):
         yield eta, w, mu
 
 
-def c_phi(phi: float, eta: int) -> float:
-    """Long-time limit of the even-time return probability for the symmetric
-    initial states.
-
-    4*((1 - w)/(3 - 2w))^2 with the energy w of family eta, on its interval
-    (1/4, 1) for eta = +1 and (0, 3/4) for eta = -1, and zero outside it.
-    Zero at phi = 0 (homogeneous walk, no localization).
-    """
-    _check_phi(phi)
-    if eta not in _FAMILIES:
-        raise DomainError(f"eta must be +1 or -1, got {eta}")
-    # alpha = 1, beta = 0 projects with unit weight onto both families
-    return 4 * next(mu for e, _, mu in _families(phi, 1.0, 0.0) if e == eta)
-
-
 def mu_inf_origin(phi: float, alpha: complex, beta: complex) -> float:
     """Time-averaged limit measure at the origin."""
     return mu_inf(0, phi, alpha, beta)
@@ -120,46 +105,16 @@ def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Theta0:
-    """Oscillation angle of the origin amplitude for one branch energy E."""
-
-    cos0: float
-    sin0: float
-    E: float
-
-
-def theta0(E: float) -> Theta0:
-    """Unit-modulus root angle of 1 + (2(1-E)^2/(3-2E)) w + w^2 = 0.
-
-    cos(theta0) = -(1-E)^2 / (3-2E), sin(theta0) = (2-E) sqrt(2-E^2) / (3-2E);
-    for E = C + eta*S the sqrt equals |S - eta*C|, matching the trig form.
-    Requires E in [-sqrt(2), sqrt(2)] so the roots stay on the unit circle.
-    """
-    if not -SQRT2 <= E <= SQRT2:
-        raise DomainError(f"branch energy must lie in [-sqrt2, sqrt2], got {E}")
-    den = 3 - 2 * E
-    cos0 = -((1 - E) ** 2) / den
-    sin0 = (2 - E) * math.sqrt(max(0.0, 2 - E * E)) / den
-    return Theta0(cos0=cos0, sin0=sin0, E=E)
-
-
-def _sgn_or_zero(v: float) -> float:
-    # 0/0 guard: at S = eta*C the accompanying sin(theta0) vanishes, so the
-    # continuous extension is 0
-    if abs(v) < 1e-14:
-        return 0.0
-    return 1.0 if v > 0 else -1.0
-
-
 def asymptotic_psi_origin(
     n: int, phi: float, alpha: complex, beta: complex
 ) -> tuple:
     """Leading large-n oscillation of the origin amplitude at time 2n.
 
     Returns (Re L, Im L, Re R, Im R).  The (alpha - eta i beta) part of
-    family eta oscillates at theta0(w) for its energy w, and is present only
-    where the family carries mass.
+    family eta is present only where the family carries mass, and turns by
+    theta0 per step: e^{i theta0} = (-(1-w)^2 + i (2-w) sqrt(2) sin a)/(3-2w)
+    is a root of 1 + (2(1-w)^2/(3-2w)) u + u^2.  Spelled through the family
+    angle a, sqrt(2 - w^2) = sqrt(2)|sin a| does not cancel as w -> -sqrt(2).
     """
     _check_phi(phi)
     if n < 1:
@@ -169,10 +124,9 @@ def asymptotic_psi_origin(
     for eta, w, mu in _families(phi, alpha, beta):
         if mu == 0.0:
             continue
-        th = theta0(w)
-        ang = n * math.atan2(th.sin0, th.cos0)
-        sign = _sgn_or_zero(SQRT2 * math.sin(_angle(phi, eta)))
-        osc = math.cos(ang) + 1j * sign * math.sin(ang)
+        # atan2 ignores the common factor 1/(3 - 2w) > 0
+        ang = n * math.atan2((2 - w) * SQRT2 * math.sin(_angle(phi, eta)), -(1 - w) ** 2)
+        osc = complex(math.cos(ang), math.sin(ang))
         term = (alpha - eta * 1j * beta) * ((1 - w) / (3 - 2 * w)) * osc
         psi_l += term
         psi_r += eta * 1j * term

@@ -12,7 +12,6 @@ every even time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,30 +21,11 @@ from .walk import DomainError, WalkParams
 _RENEWAL_MATRIX = np.array([[-1.0, 1.0], [-1.0, -1.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated formal power series with exact rational coefficients."""
+def sqrt1z4_series(N: int) -> tuple:
+    """Binomial expansion of (1 + z^4)^(1/2) through z^N.
 
-    coeffs: tuple  # Fraction entries, index = power of z
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        if 0 <= n <= self.order:
-            return self.coeffs[n]
-        raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-
-    def shift_down(self, k: int = 1) -> "PowerSeries":
-        """Divide by z^k; the k lowest coefficients must vanish."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError("series not divisible by z^k")
-        return PowerSeries(self.coeffs[k:])
-
-
-def sqrt1z4_series(N: int) -> PowerSeries:
-    """Binomial expansion of (1 + z^4)^(1/2) through z^N."""
+    Returns the N + 1 coefficients as Fractions, indexed by the power of z.
+    """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
     out = [Fraction(0)] * (N + 1)
@@ -56,7 +36,7 @@ def sqrt1z4_series(N: int) -> PowerSeries:
         c = c * (Fraction(1, 2) - (k - 1)) / k
         out[4 * k] = c
         k += 1
-    return PowerSeries(tuple(out))
+    return tuple(out)
 
 
 def rstar(n: int) -> Fraction:
@@ -79,24 +59,25 @@ def rstar(n: int) -> Fraction:
     return Fraction(num, 2 ** (2 * m - 1) * m)
 
 
-def rstar_series(N: int) -> PowerSeries:
-    """Coefficients of (-1 - z^2 + sqrt(1 + z^4)) / z through z^N."""
-    s = sqrt1z4_series(N + 1)
-    base = list(s.coeffs)
-    base[0] -= 1
-    base[2] -= 1
-    return PowerSeries(tuple(base)).shift_down(1)
+def rstar_series(N: int) -> tuple:
+    """Coefficients of (-1 - z^2 + sqrt(1 + z^4)) / z through z^N: the
+    first-return series minus z."""
+    out = list(first_return_series(N))
+    if N >= 1:
+        out[1] -= 1
+    return tuple(out)
 
 
-def first_return_series(N: int) -> PowerSeries:
+def first_return_series(N: int) -> tuple:
     """Half-line first-return coefficients: (-1 + sqrt(1 + z^4)) / z.
 
-    The mirror half-line series is the coefficientwise negation.
+    The constant term of sqrt(1 + z^4) is 1, so the coefficient of z^n is
+    that of z^(n+1) in sqrt(1 + z^4).  Returns N + 1 Fractions.  The mirror
+    half-line series is the coefficientwise negation.
     """
-    s = sqrt1z4_series(N + 1)
-    base = list(s.coeffs)
-    base[0] -= 1
-    return PowerSeries(tuple(base)).shift_down(1)
+    if N < 0:
+        raise DomainError(f"N must be >= 0, got {N}")
+    return sqrt1z4_series(N + 1)[1:]
 
 
 # Integer-scaled step matrices: sqrt(2) * P and sqrt(2) * Q.

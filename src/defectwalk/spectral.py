@@ -74,23 +74,9 @@ def lambda_tilde(z: complex) -> complex:
     return complex(z) / d
 
 
-def phi_tilde(theta: float) -> float:
-    """Phase lag of f on the circle: f(e^{i theta}) = e^{i(theta + phi~)}.
-
-    Defined on the band 2 sin^2 theta >= 1 by cos(phi~) = sqrt(2) cos(theta),
-    sin(phi~) = sgn(sin theta) sqrt(2 sin^2 theta - 1).
-    """
-    s = math.sin(theta)
-    band = 2 * s * s - 1
-    if not band >= -1e-12:
-        raise DomainError("phi~ needs 2 sin^2(theta) >= 1")
-    # sin(theta) = 0 would put theta outside the band, so sgn is well defined
-    sgn = 1.0 if s > 0 else -1.0
-    return math.atan2(sgn * math.sqrt(max(band, 0.0)), SQRT2 * math.cos(theta))
-
-
 def phi_tilde_deriv(theta: float) -> float:
-    """d(phi~)/d theta = sqrt(2) sin(theta) / (sgn(sin theta) sqrt(2 sin^2 - 1))."""
+    """d(phi~)/d theta = sqrt(2) sin(theta) / (sgn(sin theta) sqrt(2 sin^2 - 1)),
+    where f(e^{i theta}) = e^{i(theta + phi~)} on the band 2 sin^2 theta > 1."""
     s = math.sin(theta)
     band = 2 * s * s - 1
     if not band > 0:
@@ -201,7 +187,7 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     _check_phi(phi)
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    s4 = np.array([float(c) for c in sqrt1z4_series(N).coeffs])
+    s4 = np.array([float(c) for c in sqrt1z4_series(N)])
     f = -s4 / SQRT2
     f[0] += 1 / SQRT2
     if N >= 2:
@@ -211,11 +197,12 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     fsq = np.convolve(f, f)[: N + 1]
     lam = -SQRT2 * w * f + w * w * fsq
     lam[0] += 1.0
-    # geometric inversion of L0 (constant term 1)
+    # geometric inversion of L0; f has no z^0 term, so L0's constant term is
+    # exactly 1
     inv = np.zeros(N + 1, dtype=complex)
-    inv[0] = 1.0 / lam[0]
+    inv[0] = 1.0
     for n in range(1, N + 1):
-        inv[n] = -np.dot(lam[1 : n + 1], inv[n - 1 :: -1][:n]) / lam[0]
+        inv[n] = -np.dot(lam[1 : n + 1], inv[n - 1 :: -1][:n])
     g = w * f / SQRT2
     out = np.zeros((N + 1, 2, 2), dtype=complex)
     ig = np.convolve(inv, g)[: N + 1]

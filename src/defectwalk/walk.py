@@ -5,7 +5,7 @@ carries an extra phase omega = exp(2*pi*i*phi).  The walker starts at the
 origin with a normalized two-component coin state.  This module provides the
 state type, single-step evolution (``step``, the readable reference), one
 light-cone stepping kernel behind ``evolve`` and ``time_average``,
-instantaneous measures, return probabilities, and time-averaged measures.
+instantaneous measures, and time-averaged measures.
 """
 
 from __future__ import annotations

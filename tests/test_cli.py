@@ -176,6 +176,20 @@ def test_usage_error_on_unnormalized_state(capsys):
     assert "normalize" in err
 
 
+def test_eta_with_explicit_state_is_usage_error(capsys):
+    code, out, err = run(
+        capsys,
+        "limit",
+        "--phi", "1/2",
+        "--xmax", "0",
+        "--eta", "-1",
+        "--alpha", "1,0",
+        "--beta", "0,0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--eta" in err
+
 def test_normalize_flag_rescales(capsys):
     code, out, _ = run(
         capsys,

@@ -14,7 +14,6 @@ A, B = 0.6, 0.8j
 
 PHI_TAKERS = {
     "WalkParams": lambda phi: WalkParams(phi=phi, alpha=1.0, beta=0.0),
-    "c_phi": lambda phi: limits.c_phi(phi, 1),
     "mu_inf_origin": lambda phi: limits.mu_inf_origin(phi, A, B),
     "mu_inf": lambda phi: limits.mu_inf(1, phi, A, B),
     "total_point_mass": lambda phi: limits.total_point_mass(phi, A, B),

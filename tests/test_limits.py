@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,21 +12,6 @@ from defectwalk.walk import DomainError, WalkParams
 SQRT2 = math.sqrt(2.0)
 
 PHI_GRID = [i / 21 for i in range(1, 21)]
-
-
-def test_c_phi_examples():
-    assert limits.c_phi(0.2, 1) == 0.0
-    assert limits.c_phi(0.5, 1) == pytest.approx(16 / 25, abs=1e-14)
-    assert limits.c_phi(7 / 8, -1) == 0.0
-    assert limits.c_phi(0.0, 1) == 0.0
-    assert limits.c_phi(0.0, -1) == 0.0
-
-
-def test_c_phi_domain():
-    with pytest.raises(DomainError):
-        limits.c_phi(1.2, 1)
-    with pytest.raises(DomainError):
-        limits.c_phi(0.5, 2)
 
 
 def test_mu_inf_phi_half_preset():
@@ -136,24 +122,6 @@ def test_total_point_mass_matches_site_sum():
     )
 
 
-def test_theta0_examples():
-    th = limits.theta0(-1.0)
-    assert (th.cos0, th.sin0) == pytest.approx((-4 / 5, 3 / 5), abs=1e-14)
-    th = limits.theta0(0.0)
-    assert th.cos0 == pytest.approx(-1 / 3, abs=1e-14)
-    assert th.sin0 == pytest.approx(2 * SQRT2 / 3, abs=1e-14)
-
-
-def test_theta0_unit_modulus_and_domain():
-    for E in np.linspace(-SQRT2, SQRT2, 25):
-        th = limits.theta0(float(E))
-        assert th.cos0**2 + th.sin0**2 == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        limits.theta0(1.5)
-    with pytest.raises(DomainError):
-        limits.theta0(-1.5)
-
-
 def test_theta0_sqrt_equals_abs_trig_difference():
     # for E = C + eta*S the discriminant sqrt(2 - E^2) equals |S - eta*C|
     for phi in PHI_GRID:
@@ -179,6 +147,14 @@ def test_asymptotic_requires_positive_n():
         limits.asymptotic_psi_origin(0, 0.5, 1.0, 0.0)
 
 
+def _return_limit(phi, eta):
+    # long-time even-time return probability of the preset state of family
+    # eta, for phi inside the family's interval: 4 ((1 - w)/(3 - 2w))^2 with
+    # w = sqrt(2) cos(2 pi phi - eta pi/4)
+    w = SQRT2 * math.cos(2 * math.pi * phi - eta * math.pi / 4)
+    return 4 * ((1 - w) / (3 - 2 * w)) ** 2
+
+
 def test_asymptotic_norm_matches_return_limit():
     # single-branch states have constant oscillation modulus, so the squared
     # norm of the leading term equals the long-time return probability
@@ -189,8 +165,39 @@ def test_asymptotic_norm_matches_return_limit():
                 n, phi, p.alpha, p.beta
             )
             nrm = re_l**2 + im_l**2 + re_r**2 + im_r**2
-            assert nrm == pytest.approx(limits.c_phi(phi, eta), abs=1e-12)
+            assert nrm == pytest.approx(_return_limit(phi, eta), abs=1e-12)
 
+
+
+def _mp_asymptotic(n, phi, alpha, beta):
+    # 60-digit reference that spells the root's imaginary part through
+    # sqrt(2 - w^2), which cancels in floats as w -> -sqrt(2) near phi = 3/8
+    # and 5/8
+    with mpmath.workdps(60):
+        phi = mpmath.mpf(phi)
+        alpha, beta = mpmath.mpc(alpha), mpmath.mpc(beta)
+        psi_l = psi_r = mpmath.mpc(0)
+        for eta, lo, hi in ((1, 0.25, 1.0), (-1, 0.0, 0.75)):
+            if not lo < phi < hi:
+                continue
+            a = 2 * mpmath.pi * phi - eta * mpmath.pi / 4
+            w = mpmath.sqrt(2) * mpmath.cos(a)
+            den = 3 - 2 * w
+            sin0 = mpmath.sign(mpmath.sin(a)) * (2 - w) * mpmath.sqrt(2 - w * w) / den
+            osc = mpmath.expj(n * mpmath.atan2(sin0, -((1 - w) ** 2) / den))
+            term = (alpha - eta * 1j * beta) * (1 - w) / den * osc
+            psi_l += term
+            psi_r += eta * 1j * term
+        return [float(v) for v in (psi_l.real, psi_l.imag, psi_r.real, psi_r.imag)]
+
+
+@pytest.mark.parametrize("centre", [0.375, 0.625])
+def test_asymptotic_matches_mpmath_near_cancellation(centre):
+    for k in range(6, 13):
+        for phi in (centre - 10.0**-k, centre + 10.0**-k):
+            got = limits.asymptotic_psi_origin(900, phi, 0.6, 0.8j)
+            ref = _mp_asymptotic(900, phi, 0.6, 0.8j)
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-11
 
 def test_stationary_measure_examples():
     assert limits.stationary_measure(0, 0.5, 0.5, limits.BRANCH_PLUS) == 1.0
@@ -312,13 +319,6 @@ def _ref_total_point_mass(phi, alpha, beta):
     return total
 
 
-def _ref_c_phi(phi, eta):
-    wp, wm, _, _ = _ref_origin(phi, 1.0, 0.0)
-    if eta == 1:
-        return 4 * _ref_weight(wm) * _ref_ind(phi, 0.25, 1.0)
-    return 4 * _ref_weight(wp) * _ref_ind(phi, 0.0, 0.75)
-
-
 def _ref_asymptotic(n, phi, alpha, beta):
     C, S = math.cos(2 * math.pi * phi), math.sin(2 * math.pi * phi)
 
@@ -350,8 +350,6 @@ def test_closed_forms_match_two_branch_reference():
     edges = [0.0, 1e-20, 5e-324, 0.25 - 1e-12, 0.25 + 1e-12, 0.75 - 1e-12,
              0.75 + 1e-12, 1 - 1e-16]
     for phi in edges + [float(p) for p in rng.random(60)]:
-        for eta in (1, -1):
-            assert limits.c_phi(phi, eta) == _ref_c_phi(phi, eta)
         v = rng.normal(size=4)
         a, b = complex(v[0], v[1]), complex(v[2], v[3])
         norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from defectwalk import series, walk
-from defectwalk.series import PowerSeries
 from defectwalk.walk import DomainError, WalkParams
 
 
@@ -24,15 +23,6 @@ def test_sqrt1z4_squares_back():
         sq = sum(s[i] * s[k - i] for i in range(k + 1))  # Cauchy product
         expected = Fraction(1) if k in (0, 4) else Fraction(0)
         assert sq == expected
-
-
-def test_powerseries_shift_requires_divisibility():
-    with pytest.raises(ValueError):
-        PowerSeries(tuple(map(Fraction, (1, 2, 3)))).shift_down()
-    assert PowerSeries(tuple(map(Fraction, (0, 2, 3)))).shift_down().coeffs == (
-        Fraction(2),
-        Fraction(3),
-    )
 
 
 def test_rstar_reference_values():
@@ -58,15 +48,22 @@ def test_first_return_series_coefficients():
     assert all(fr[n] == 0 for n in range(13) if n % 4 != 3)
 
 
+def test_series_edge_orders():
+    assert series.rstar_series(0) == (Fraction(0),)
+    assert series.first_return_series(0) == (Fraction(0),)
+    for func in (series.rstar_series, series.first_return_series):
+        for N in (-1, -2):
+            with pytest.raises(DomainError, match=f"got {N}$"):
+                func(N)
+
 def test_half_line_mirror_is_negation():
     # the mirror half-line series (1 - sqrt(1+z^4))/z is minus the direct one
     fr = series.first_return_series(20)
     s4 = series.sqrt1z4_series(21)
-    mirror = PowerSeries(
-        tuple(Fraction(1 if k == 0 else 0) - s4[k] for k in range(22))
-    ).shift_down(1)
+    mirror = [Fraction(1 if k == 0 else 0) - s4[k] for k in range(22)]
+    assert mirror[0] == 0  # divisible by z
     for n in range(21):
-        assert mirror[n] == -fr[n]
+        assert mirror[n + 1] == -fr[n]
 
 
 def test_path_oracle_basics():
