@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import limits, series, spectral, walk
-from .walk import SQRT2, DomainError, WalkParams
+from .walk import SQRT2, DomainError, WalkParams, _is_normalized
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -59,7 +59,7 @@ def _resolve_state(args) -> tuple:
         alpha = _parse_complex(args.alpha, "alpha")
         beta = _parse_complex(args.beta, "beta")
         norm = abs(alpha) ** 2 + abs(beta) ** 2
-        if abs(norm - 1.0) > 1e-9:
+        if not _is_normalized(norm):
             if not args.normalize:
                 raise DomainError(
                     f"state not normalized (|alpha|^2+|beta|^2 = {norm}); "
@@ -71,6 +71,8 @@ def _resolve_state(args) -> tuple:
             alpha /= scale
             beta /= scale
         return alpha, beta
+    if args.normalize:
+        raise DomainError("--normalize applies only to an explicit --alpha/--beta state")
     eta = args.eta if args.eta is not None else 1
     return 1 / SQRT2, eta * 1j / SQRT2
 

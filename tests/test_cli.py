@@ -190,6 +190,45 @@ def test_eta_with_explicit_state_is_usage_error(capsys):
     assert out == ""
     assert "--eta" in err
 
+
+def test_normalize_without_explicit_state_is_usage_error(capsys):
+    code, out, err = run(capsys, "limit", "--phi", "0.5", "--xmax", "0", "--normalize")
+    assert code == 2
+    assert out == ""
+    assert "--normalize" in err
+
+
+def test_state_off_by_2e_10_is_rescaled_by_normalize(capsys):
+    # |alpha|^2 + |beta|^2 = 1 + 2e-10: outside the 1e-12 that WalkParams
+    # requires, so --normalize must rescale it rather than pass it through.
+    code, out, err = run(
+        capsys,
+        "compare",
+        "--phi", "0.3",
+        "--alpha", "1.0000000001,0",
+        "--beta", "0,0",
+        "--normalize",
+        "--T", "10",
+        "--xmax", "1",
+    )
+    assert code == 0, err
+    assert out.startswith("x,mu_bar_T,mu_inf,abs_err\n")
+
+
+def test_state_off_by_2e_10_needs_normalize(capsys):
+    code, out, err = run(
+        capsys,
+        "limit",
+        "--phi", "0.5",
+        "--xmax", "0",
+        "--alpha", "1.0000000001,0",
+        "--beta", "0,0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "normalize" in err
+
+
 def test_normalize_flag_rescales(capsys):
     code, out, _ = run(
         capsys,

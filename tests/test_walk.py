@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectwalk import walk
-from defectwalk.walk import DomainError, WalkParams
+from defectwalk.walk import _INV_SQRT2, DomainError, WalkParams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -234,3 +234,36 @@ def test_kernel_matches_step_reference(phi):
             assert mu.offset == -xmax
             expected = sums[T][pad - xmax : pad + xmax + 1] / T
             assert np.max(np.abs(mu.values - expected)) == 0.0
+
+
+def test_reciprocal_scaling_matches_numpy_division():
+    # The kernel multiplies float64 views by _INV_SQRT2 where ``step`` divides
+    # by SQRT2.  That is bit-identical only because NumPy divides a complex by
+    # a real as (re + im*0) * (1/s) and (im - re*0) * (1/s); if a NumPy
+    # release changes its division, this names the cause.
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=10**6) + 1j * rng.normal(size=10**6)
+    for scale in (1.0, 1e-300, 1e300, 1e-310):  # the last is subnormal
+        zs = z * scale
+        got = (zs.view(np.float64) * _INV_SQRT2).view(complex)
+        assert np.array_equal(got, zs / walk.SQRT2)
+
+
+@pytest.mark.parametrize("xmax", (0, 1, 5, 40))
+def test_time_average_block_edges(xmax):
+    # Every T up to 60 ends the last block at many offsets within it; at
+    # xmax = 40 every block is one step and the window is wider than the
+    # light cone.  For xmax = 5 a block has (2T - 1) // 11 steps.  T <= 60
+    # holds every T one step past a whole number of blocks (the last is
+    # 55 = 6*9 + 1); 66 = 6*11 is the last T at a whole number, and
+    # 77 = 6*13 - 1 the last T one step short of one.
+    times = set(range(1, 61))
+    if xmax == 5:
+        times |= {66, 77}
+    params = _random_params(0.3, seed=xmax)
+    pad = max(max(times), xmax)
+    _, sums = _step_reference(params, times, pad)
+    for T in sorted(times):
+        mu = walk.time_average(params, T, xmax)
+        expected = sums[T][pad - xmax : pad + xmax + 1] / T
+        assert np.max(np.abs(mu.values - expected)) == 0.0
