@@ -47,6 +47,15 @@ def _is_normalized(norm_sq: float) -> bool:
     return abs(norm_sq - 1.0) <= 1e-12
 
 
+def _norm_sq(alpha: complex, beta: complex) -> float:
+    """|alpha|^2 + |beta|^2 of a finite coin state, or inf where a square
+    overflows a float (Python floats raise OverflowError there)."""
+    try:
+        return abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Defect phase and initial coin state.
@@ -66,7 +75,7 @@ class WalkParams:
                 f"initial coin state must be finite, got ({self.alpha}, {self.beta})"
             )
         _check_phi(self.phi)
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        norm = _norm_sq(self.alpha, self.beta)
         if not _is_normalized(norm):
             raise DomainError(
                 f"initial coin state not normalized: |alpha|^2+|beta|^2 = {norm}"

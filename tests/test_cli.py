@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
-from defectwalk import cli
+from defectwalk import cli, limits, walk
 
 
 def run(capsys, *argv):
@@ -259,9 +261,91 @@ def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = [line for line in out.strip().split("\n") if line.startswith("[")]
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(line.startswith("[ok") for line in lines)
+    for line in lines:
+        found = re.fullmatch(r"\[ok  \] .+ = (\S+) \(bound (\S+)\)", line)
+        assert found, line
+        assert float(found[1]) <= float(found[2]), line
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "module, name, failing",
+    [
+        ("limits", "mu_inf_origin", ("residue-sum gap", "CMV-form equality")),
+        ("series", "psi_origin_sequence", ("renewal vs evolution",)),
+    ],
+)
+def test_verify_fails_on_nan(capsys, monkeypatch, module, name, failing):
+    # max(worst, nan) keeps worst, so a reduction with Python's max would
+    # report these NaN gaps as passing
+    mod = getattr(cli, module)
+    real = getattr(mod, name)
+    monkeypatch.setattr(mod, name, lambda *a, **k: np.asarray(real(*a, **k)) * math.nan)
+    code, out, _ = run(capsys, "verify")
+    assert code == cli.VERIFY_ERROR
+    failed = [line for line in out.split("\n") if line.startswith("[FAIL]")]
+    for part in failing:
+        assert any(part in line and "= nan" in line for line in failed), out
+    assert "all checks passed" not in out
+
+
+@pytest.mark.parametrize("normalize", [(), ("--normalize",)])
+def test_state_norm_overflow_is_usage_error(capsys, normalize):
+    code, out, err = run(
+        capsys, "limit", "--phi", "0.5", "--xmax", "0",
+        "--alpha", "1e200,0", "--beta", "0,0", *normalize,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("phi", ["0.3", "1/2"])
+def test_tables_equal_library(capsys, phi):
+    # .17g round-trips every double, so the tables must equal the library
+    # values exactly, not within a tolerance
+    p = walk.WalkParams(phi=cli.parse_phi(phi), alpha=complex(0.6, 0.0),
+                        beta=complex(0.0, 0.8))
+    state = ("--alpha", "0.6,0", "--beta", "0,0.8")
+
+    def table(*argv):
+        """The CSV rows as floats, and the last line."""
+        code, out, err = run(capsys, *argv, "--phi", phi)
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        rows = [[float(v) for v in line.split(",")]
+                for line in lines[1:] if "=" not in line]
+        return rows, lines[-1]
+
+    ev = walk.evolve(p, 50)
+    pl = [abs(a) ** 2 for a in ev.amps[:, 0]]
+    pr = [abs(a) ** 2 for a in ev.amps[:, 1]]
+    rows, _ = table("simulate", *state, "--steps", "50")
+    assert rows == [[x, l, r, l + r] for x, l, r in zip(range(-50, 51), pl, pr)]
+
+    sites = range(-4, 5)
+    mu = walk.time_average(p, 300, 4)
+    sim = [mu.at(x) for x in sites]
+    exact = [limits.mu_inf(x, p.phi, p.alpha, p.beta) for x in sites]
+    rows, _ = table("time-average", *state, "--T", "300", "--xmax", "4")
+    assert rows == [[x, v] for x, v in zip(sites, sim)]
+    rows, _ = table("limit", *state, "--xmax", "4")
+    assert rows == [[x, v] for x, v in zip(sites, exact)]
+
+    rows, last = table("compare", *state, "--T", "300", "--xmax", "4")
+    errs = [abs(s - e) for s, e in zip(sim, exact)]
+    assert rows == [list(r) for r in zip(sites, sim, exact, errs)]
+    assert last.startswith("max_abs_err=")
+    assert float(last.split("=")[1]) == max(errs)
+
+    for branch in ("plus", "minus"):
+        rows, _ = table("stationary", "--branch", branch, "--xmax", "4",
+                        "--alpha-mod2", "0.36")
+        assert rows == [
+            [x, limits.stationary_measure(x, p.phi, 0.36, branch)] for x in sites
+        ]
 
 
 def test_compare_rejects_nan_state(capsys):

@@ -23,6 +23,21 @@ def test_params_validation():
             WalkParams(phi=0.5, alpha=alpha, beta=beta)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (1e200, 0.0),  # the square raises OverflowError
+        (0.0, complex(0.0, -1e200)),
+        (complex(1e308, 1e308), 0.0),  # abs itself raises OverflowError
+        (1e154, 1e154),  # each square is finite, their sum is inf
+    ],
+)
+def test_params_norm_overflow_is_domain_error(alpha, beta):
+    assert walk._norm_sq(alpha, beta) == math.inf
+    with pytest.raises(DomainError, match="= inf"):
+        WalkParams(phi=0.5, alpha=alpha, beta=beta)
+
+
 def test_single_step_from_left_chirality():
     params = WalkParams(phi=0.3, alpha=1.0, beta=0.0)
     state = walk.evolve(params, 1)
