@@ -2,7 +2,8 @@
 reports, and plot-ready CSV / JSON data.
 
 Exit codes: 0 success, 2 usage error (bad flags, non-normalized state,
-parameter out of domain), 3 verification failure.
+parameter out of domain, unwritable --out), 3 verification failure (a failed
+``verify`` record, or a failed internal check such as the singular-point gate).
 """
 
 from __future__ import annotations
@@ -65,12 +66,14 @@ def _resolve_state(args) -> tuple:
                     f"state not normalized (|alpha|^2+|beta|^2 = {norm}); "
                     "pass --normalize to rescale"
                 )
-            if not 0.0 < norm < math.inf:
-                raise DomainError(
-                    "cannot normalize the zero state" if norm == 0.0
-                    else "cannot normalize a state whose |alpha|^2+|beta|^2 overflows"
-                )
-            scale = math.sqrt(norm)
+            # dividing by the largest part first keeps the norm from
+            # overflowing or underflowing
+            big = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
+            if big == 0.0:
+                raise DomainError("cannot normalize the zero state")
+            alpha /= big
+            beta /= big
+            scale = math.sqrt(_norm_sq(alpha, beta))
             alpha /= scale
             beta /= scale
         return alpha, beta
@@ -97,9 +100,12 @@ def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror}") from exc
 
 
 def _emit_table(header, sites, columns, out_path, extra=()):
@@ -342,6 +348,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ArithmeticError as exc:  # a check of the program's own results failed
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -136,6 +136,17 @@ def asymptotic_psi_origin(
 BRANCH_PLUS = "plus"    # beta = i * alpha
 BRANCH_MINUS = "minus"  # beta = -i * alpha
 
+# the one family that each branch's state beta = +-i alpha projects onto
+_BRANCH_ETA = {BRANCH_PLUS: 1, BRANCH_MINUS: -1}
+
+
+def _branch_eta(branch: str) -> int:
+    """Family label eta of a stationary branch; DomainError for any other name."""
+    eta = _BRANCH_ETA.get(branch)
+    if eta is None:
+        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    return eta
+
 
 def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> float:
     """Measure of the exponentially decaying eigenvector profile.
@@ -152,23 +163,14 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
         )
     if not 0 < alpha_mod2 < math.inf:
         raise DomainError(f"alpha_mod2 must be finite and > 0, got {alpha_mod2}")
+    eta = _branch_eta(branch)
     C = math.cos(2 * math.pi * phi)
     S = math.sin(2 * math.pi * phi)
-    if branch == BRANCH_PLUS:
-        gamma = 2 - C - S
-        rate = 1 / (3 - 2 * C - 2 * S)
-    elif branch == BRANCH_MINUS:
-        gamma = 2 - C + S
-        rate = 1 / (3 - 2 * C + 2 * S)
-    else:
-        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    gamma = 2 - C - eta * S
+    rate = 1 / (3 - 2 * C - 2 * eta * S)
     if x == 0:
         return 2 * alpha_mod2
     return 2 * alpha_mod2 * rate ** abs(x) * gamma
-
-
-# the one family that each branch's state beta = +-i alpha projects onto
-_BRANCH_ETA = {BRANCH_PLUS: 1, BRANCH_MINUS: -1}
 
 
 @dataclass(frozen=True)
@@ -195,11 +197,9 @@ def compare_stationary_timeavg(
     2 (1 - w)^2 / (3 - 2w)^2 for the energy w of the branch's family.
     """
     _check_phi(phi)
-    if branch not in _BRANCH_ETA:
-        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    eta = _branch_eta(branch)
     if xmax < 0:
         raise DomainError(f"xmax must be >= 0, got {xmax}")
-    eta = _BRANCH_ETA[branch]
     lo, hi = _FAMILIES[eta]
     if not lo < phi < hi:
         raise DomainError(

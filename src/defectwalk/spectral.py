@@ -7,6 +7,10 @@ of the time-averaged measure: each contributes the squared norm of the
 corresponding residue.  This module computes f(z), the decay factor
 lambda(z), the singular points in closed form, and the numeric residue norms
 at the origin.
+
+Each singular-point quantity has one route: ``singular_points`` evaluates
+dL0/dz once per point, as ``residue_prefactor`` = 1/|dL0/dz|^2, and
+``residue_norms_origin`` reads it from the points.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import numpy as np
 from .series import sqrt1z4_series
 from .walk import SQRT2, DomainError, _check_phi
 
-BRANCH_EPS_PLUS = "eps_plus"    # f(z) = exp(-i(2*pi*phi + pi/4)) root family
-BRANCH_EPS_MINUS = "eps_minus"  # f(z) = exp(-i(2*pi*phi - pi/4)) root family
+# root family -> (sign of pi/4 in its angle eps, open phi interval of its zeros)
+_ROOT_FAMILIES = {"eps_plus": (1, 0.0, 0.75), "eps_minus": (-1, 0.25, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,8 @@ class SpectralPoint:
     ``branch`` is "eps_plus:+", "eps_plus:-", "eps_minus:+" or "eps_minus:-"
     (root family and sign of the antipodal pair).  ``lambda_sq`` is the
     geometric decay factor |lambda(e^{i theta_s})|^2 of the measure away from
-    the origin; ``residue_prefactor`` is |Res(1/L0)|^2 = 1/(2|1 + d(phi~)/d
-    theta|^2) at the point.
+    the origin; ``residue_prefactor`` is |Res(1/L0)|^2 = 1/|dL0/dz|^2 at the
+    point.
     """
 
     theta_s: float
@@ -74,17 +78,6 @@ def lambda_tilde(z: complex) -> complex:
     return complex(z) / d
 
 
-def phi_tilde_deriv(theta: float) -> float:
-    """d(phi~)/d theta = sqrt(2) sin(theta) / (sgn(sin theta) sqrt(2 sin^2 - 1)),
-    where f(e^{i theta}) = e^{i(theta + phi~)} on the band 2 sin^2 theta > 1."""
-    s = math.sin(theta)
-    band = 2 * s * s - 1
-    if not band > 0:
-        raise DomainError("phi~ derivative needs 2 sin^2(theta) > 1")
-    sgn = 1.0 if s > 0 else -1.0
-    return SQRT2 * s / (sgn * math.sqrt(band))
-
-
 def big_lambda0(z: complex, phi: float) -> complex:
     """L0(z) = 1 - sqrt(2) w f(z) + w^2 f(z)^2 with w = exp(2*pi*i*phi).
 
@@ -104,51 +97,36 @@ def big_lambda0_deriv(z: complex, phi: float) -> complex:
     return (-SQRT2 * w + 2 * w * w * f_tilde(z)) * f_tilde_deriv(z)
 
 
-def _branch_points(eps: float) -> list:
-    """Appendix-style closed form: both antipodal (cos, sin) pairs for one
-    root-family angle eps."""
-    den = math.sqrt(3 - 2 * SQRT2 * math.cos(eps))
-    c = math.sin(eps) / den
-    s = (math.cos(eps) - SQRT2) / den
-    return [(c, s, "+"), (-c, -s, "-")]
-
-
 def singular_points(phi: float) -> list:
     """Unit-circle zeros of L0 (at most four), with residue prefactors.
 
-    The eps_plus family (angle 2*pi*phi + pi/4) exists for phi in (0, 3/4);
-    the eps_minus family (angle 2*pi*phi - pi/4) for phi in (1/4, 1) --
-    exactly where the corresponding point-mass weight is positive, so at
-    phi = 0 there are none.  Each closed-form point must satisfy
-    |L0(e^{i theta_s})| <= 1e-10.
+    A root family has zeros on its open phi interval in ``_ROOT_FAMILIES``,
+    exactly where its point-mass weight is positive, so at phi = 0 there are
+    none.  Each closed-form point must satisfy |L0(e^{i theta_s})| <= 1e-10.
     """
     _check_phi(phi)
-    families = []
-    if 0.0 < phi < 0.75:
-        families.append((BRANCH_EPS_PLUS, 2 * math.pi * phi + math.pi / 4))
-    if 0.25 < phi < 1.0:
-        families.append((BRANCH_EPS_MINUS, 2 * math.pi * phi - math.pi / 4))
     points = []
-    for name, eps in families:
-        for c, s, sign in _branch_points(eps):
-            theta = math.atan2(s, c)
+    for name, (sign, lo, hi) in _ROOT_FAMILIES.items():
+        if not lo < phi < hi:
+            continue
+        # appendix-style closed form of the antipodal (cos, sin) pair
+        eps = 2 * math.pi * phi + sign * math.pi / 4  # f(z) = exp(-i eps)
+        den = math.sqrt(3 - 2 * SQRT2 * math.cos(eps))
+        c = math.sin(eps) / den
+        s = (math.cos(eps) - SQRT2) / den
+        for pm, cos_s, sin_s in (("+", c, s), ("-", -c, -s)):
+            theta = math.atan2(sin_s, cos_s)
             z = cmath.exp(1j * theta)
             resid = abs(big_lambda0(z, phi))
             if resid > 1e-10:
                 raise ArithmeticError(
                     f"singular point failed to converge: |L0| = {resid:.3e} "
-                    f"at phi={phi}, branch {name}{sign}"
+                    f"at phi={phi}, branch {name}{pm}"
                 )
-            lam_sq = abs(lambda_tilde(z)) ** 2
-            pref = 1.0 / (2.0 * abs(1.0 + phi_tilde_deriv(theta)) ** 2)
-            points.append(
-                SpectralPoint(
-                    theta_s=theta,
-                    branch=f"{name}:{sign}",
-                    lambda_sq=lam_sq,
-                    residue_prefactor=pref,
-                )
-            )
+            points.append(SpectralPoint(
+                theta_s=theta, branch=f"{name}:{pm}",
+                lambda_sq=abs(lambda_tilde(z)) ** 2,
+                residue_prefactor=1 / abs(big_lambda0_deriv(z, phi)) ** 2))
     return points
 
 
@@ -162,17 +140,16 @@ def _origin_numerator(z: complex, phi: float, alpha: complex, beta: complex):
 def residue_norms_origin(phi: float, alpha: complex, beta: complex) -> list:
     """Squared residue norms of the origin resolvent, one per singular point.
 
-    Computed from the actual residue (numerator over dL0/dz at the pole), not
-    from the closed form, so the sum is an independent route to the
-    time-averaged limit measure at the origin.  Returned in the same order as
+    Computed from the actual residue (numerator over dL0/dz at the pole, the
+    latter read as each point's ``residue_prefactor``), not from the closed
+    form, so the sum is an independent route to the time-averaged limit
+    measure at the origin.  Returned in the same order as
     ``singular_points(phi)``.
     """
     out = []
     for pt in singular_points(phi):
-        z = pt.z
-        n1, n2 = _origin_numerator(z, phi, alpha, beta)
-        dsq = abs(big_lambda0_deriv(z, phi)) ** 2
-        out.append((abs(n1) ** 2 + abs(n2) ** 2) / dsq)
+        n1, n2 = _origin_numerator(pt.z, phi, alpha, beta)
+        out.append((abs(n1) ** 2 + abs(n2) ** 2) * pt.residue_prefactor)
     return out
 
 

@@ -291,15 +291,52 @@ def test_verify_fails_on_nan(capsys, monkeypatch, module, name, failing):
     assert "all checks passed" not in out
 
 
-@pytest.mark.parametrize("normalize", [(), ("--normalize",)])
-def test_state_norm_overflow_is_usage_error(capsys, normalize):
+def test_state_norm_overflow_is_usage_error(capsys):
     code, out, err = run(
         capsys, "limit", "--phi", "0.5", "--xmax", "0",
-        "--alpha", "1e200,0", "--beta", "0,0", *normalize,
+        "--alpha", "1e200,0", "--beta", "0,0",
     )
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "alpha, state",
+    [("1e-160,0", 1 + 0j), ("1e200,0", 1 + 0j), ("3e-200,4e-200", 0.6 + 0.8j)],
+)
+def test_normalize_rescales_tiny_and_huge_states(capsys, alpha, state):
+    # |alpha|^2 is subnormal, overflows, or underflows to 0; the state still
+    # has an exact unit rescaling
+    code, out, err = run(
+        capsys, "limit", "--phi", "0.5", "--xmax", "0",
+        "--alpha", alpha, "--beta", "0,0", "--normalize",
+    )
+    assert code == 0, err
+    assert out == f"x,mu_inf\n0,{cli._fmt(limits.mu_inf(0, 0.5, state, 0j))}\n"
+
+
+@pytest.mark.parametrize("target", ["missing-dir/rows.csv", "."])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
+    path = str(tmp_path / target)
+    code, out, err = run(
+        capsys, "limit", "--phi", "0.5", "--xmax", "1", "--out", path
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and path in err
+
+
+@pytest.mark.parametrize(
+    "phi", ["1e-9", "1e-12", "0.999999999", "0.7499999999", "0.2500000001"]
+)
+def test_singular_point_gate_failure_is_verify_error(capsys, phi):
+    # the gate |L0| <= 1e-10 fails this close to a band edge: a failed check
+    # of the program's own result, reported without a traceback
+    code, out, err = run(capsys, "spectrum", "--phi", phi)
+    assert code == cli.VERIFY_ERROR
+    assert out == ""
+    assert err.startswith("error: singular point failed to converge")
 
 
 @pytest.mark.parametrize("phi", ["0.3", "1/2"])

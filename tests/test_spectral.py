@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,7 +85,7 @@ def test_lambda_circle_matches_quotient():
         assert q == pytest.approx(_lambda_sq_circle(theta), abs=1e-12)
 
 
-@pytest.mark.parametrize("func", [spectral.lambda_tilde, spectral.phi_tilde_deriv])
+@pytest.mark.parametrize("func", [spectral.lambda_tilde])
 def test_band_functions_reject_nan(func):
     with pytest.raises(DomainError):
         func(math.nan)
@@ -169,12 +170,32 @@ def test_residue_prefactor_matches_finite_difference():
             fd = (
                 _phi_tilde(pt.theta_s + h) - _phi_tilde(pt.theta_s - h)
             ) / (2 * h)
-            assert fd == pytest.approx(spectral.phi_tilde_deriv(pt.theta_s), abs=1e-7)
             pref = 1.0 / (2.0 * abs(1.0 + fd) ** 2)
             assert pt.residue_prefactor == pytest.approx(pref, abs=1e-10)
             # and equals the derivative route |dL0/dz|^{-2}
             dsq = abs(spectral.big_lambda0_deriv(pt.z, phi)) ** 2
             assert pt.residue_prefactor == pytest.approx(1.0 / dsq, abs=1e-12)
+
+
+# 20 phi, each at least 1e-2 from the band edges 0, 1/4, 3/4 and 1
+MPMATH_PHIS = [0.01, 0.05, 0.1, 0.15, 0.2, 0.24, 0.26, 0.3, 0.375, 0.45, 0.5,
+               0.55, 0.625, 0.7, 0.74, 0.76, 0.8, 0.875, 0.95, 0.99]
+
+
+def test_residue_prefactor_matches_mpmath():
+    # |Res(1/L0)|^2 = (1 - w)^2 / (2 (3 - 2w)^2) for the family energy
+    # w = sqrt(2) cos(2 pi phi +- pi/4), the sign + for eps_plus
+    for phi in MPMATH_PHIS:
+        pts = spectral.singular_points(phi)
+        assert pts
+        for pt in pts:
+            sign = 1 if pt.branch.startswith("eps_plus") else -1
+            with mpmath.workdps(50):
+                w = mpmath.sqrt(2) * mpmath.cos(
+                    2 * mpmath.pi * mpmath.mpf(phi) + sign * mpmath.pi / 4
+                )
+                ref = float((1 - w) ** 2 / (2 * (3 - 2 * w) ** 2))
+            assert pt.residue_prefactor == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_residue_closed_form_values_phi_half():
