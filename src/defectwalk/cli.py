@@ -209,7 +209,7 @@ def cmd_compare(args) -> int:
 def cmd_spectrum(args) -> int:
     p = _params(args)
     pts = spectral.singular_points(p.phi)
-    norms = spectral.residue_norms_origin(p.phi, p.alpha, p.beta)
+    norms = spectral._residue_norms(pts, p.phi, p.alpha, p.beta)
     payload = [
         {
             "branch": pt.branch,
@@ -298,9 +298,9 @@ def _verify_checks():
     a, b = 0.6 + 0j, 0.8j
     for i in range(1, 11):
         phi = i / 11
-        l0 += [abs(spectral.big_lambda0(pt.z, phi))
-               for pt in spectral.singular_points(phi)]
-        wsum.append(abs(sum(spectral.residue_norms_origin(phi, a, b))
+        pts = spectral.singular_points(phi)
+        l0 += [abs(spectral.big_lambda0(pt.z, phi)) for pt in pts]
+        wsum.append(abs(sum(spectral._residue_norms(pts, phi, a, b))
                         - limits.mu_inf_origin(phi, a, b)))
     yield "spectral closure |L0| (10-point grid)", np.max(l0), 1e-10
     yield "spectral closure residue-sum gap (10-point grid)", np.max(wsum), 1e-12

@@ -146,8 +146,14 @@ def residue_norms_origin(phi: float, alpha: complex, beta: complex) -> list:
     measure at the origin.  Returned in the same order as
     ``singular_points(phi)``.
     """
+    return _residue_norms(singular_points(phi), phi, alpha, beta)
+
+
+def _residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> list:
+    """``residue_norms_origin`` at points already found by ``singular_points``,
+    for a caller that needs both without running the gate twice."""
     out = []
-    for pt in singular_points(phi):
+    for pt in points:
         n1, n2 = _origin_numerator(pt.z, phi, alpha, beta)
         out.append((abs(n1) ** 2 + abs(n2) ** 2) * pt.residue_prefactor)
     return out

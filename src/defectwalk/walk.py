@@ -8,12 +8,16 @@ light-cone stepping kernel behind ``evolve`` and ``time_average``,
 instantaneous measures, and time-averaged measures.
 
 The kernel and ``time_average`` reproduce a ``step`` loop bit for bit while
-doing less work per step.  For a real divisor s, NumPy's complex division
-computes each part as (re + im*0) * fl(1/s), so the kernel multiplies the
-float64 view of its buffers by ``_INV_SQRT2`` instead; only the sign of a zero
-can differ, and no measure sees it.  ``time_average`` squares and adds the
-measures of many steps at once, but still adds them into the running sum
-one time step after another, so every sum is formed in the same order.
+doing less work per step.  A site with x + t odd holds an exact zero at time
+t (the walker moves one site per step), so the kernel stores only the sites
+with x + t even, in compact columns, and never computes the zeros.  For a
+real divisor s, NumPy's complex division computes each part as
+(re + im*0) * fl(1/s), so the kernel multiplies the float64 view of its
+buffers by ``_INV_SQRT2`` instead; only the sign of a zero can differ, and
+no measure sees it.  ``time_average`` squares and adds the measures of many
+steps at once, but still adds them into the running sum one time step after
+another, so every sum is formed in the same order; the skipped sites would
+only have added +0.0 to a nonnegative sum, which changes nothing.
 """
 
 from __future__ import annotations
@@ -167,55 +171,75 @@ def step(state: WalkState, params: WalkParams) -> WalkState:
 def _light_cone(params: WalkParams, n: int, xmax: int):
     """Yield the state at times t = 0 .. n on the window |x| <= xmax.
 
-    Each item is a (2, 2*xmax+1) view, rows (left, right), of one of two
-    preallocated buffers that swap every step; the next step overwrites it.
-    Step t reads only |x| <= min(t-1, xmax+n-t+1): a site farther out can no
-    longer reach the window by time n.  A column beyond |x| = t has never
-    been written, so it holds the zero the support needs.
+    Only the occupied sublattice is stored: at time t the sites with x + t
+    even, site x in compact column ``h + x // 2`` of two half-width buffers
+    that swap every step, so a buffer always holds one parity.  From an even
+    time left-movers land one column left and right-movers stay in theirs;
+    from an odd time left-movers stay and right-movers land one column
+    right.  The origin is occupied only at even times, so only the steps from
+    them apply the defect phase.  Step t reads only |x| <= min(t-1,
+    xmax+n-t+1): a site farther out can no longer reach the window by time
+    n.  A column beyond |x| = t has never been written, so it holds the zero
+    the support needs.
+
+    Each item is a (2, xmax+1) view, rows (left, right), of the compact
+    columns ``h - (xmax+1)//2 .. h + xmax//2``; a later step overwrites it.
+    At time t they hold the sites x = 2j + t % 2: every window site with
+    x + t even and, when xmax + t is odd, one site at |x| = xmax + 1.
 
     The arithmetic is that of ``step`` in the same order, on float64 views of
     the buffers: the real and imaginary parts are added and subtracted
     separately, exactly as complex addition does, and then multiplied by
     ``_INV_SQRT2``, which is what NumPy's division of a complex by the real
-    ``SQRT2`` computes, up to the sign of a zero.  So every value equals a
-    ``step`` loop bit for bit (``==``; a zero may carry the other sign).
+    ``SQRT2`` computes, up to the sign of a zero.  So every stored value
+    equals a ``step`` loop bit for bit (``==``; a zero may carry the other
+    sign), and every site skipped holds an exact zero in that loop.
     """
-    c = max(n, xmax)  # column of the origin
-    cur = np.zeros((2, 2 * c + 1), dtype=complex)
+    c = max(n, xmax)  # the sites stored lie in |x| <= c
+    h = (c + 1) // 2  # compact column of the origin
+    cur = np.zeros((2, h + c // 2 + 1), dtype=complex)
     nxt = np.zeros_like(cur)
-    cur[:, c] = params.alpha, params.beta
-    cur_f, nxt_f = cur.view(np.float64), nxt.view(np.float64)
+    cur[:, h] = params.alpha, params.beta
+    (cur_l, cur_r), (nxt_l, nxt_r) = cur.view(np.float64), nxt.view(np.float64)
     omega = params.omega
-    yield cur[:, c - xmax : c + xmax + 1]
+    lo_w, hi_w = h - (xmax + 1) // 2, h + xmax // 2 + 1  # window columns
+    wins = cur[:, lo_w:hi_w], nxt[:, lo_w:hi_w]  # buffer t % 2 holds time t
+    yield wins[0]
     for t in range(1, n + 1):
+        p = (t - 1) % 2  # parity of the time stepped from
         r = min(t - 1, xmax + n - t + 1)
-        lo, hi = 2 * (c - r), 2 * (c + r + 1)  # float columns of |x| <= r
-        ell = cur_f[0, lo:hi]
-        arr = cur_f[1, lo:hi]
-        a = nxt_f[0, lo - 2 : hi - 2]  # left-movers land at x-1
-        b = nxt_f[1, lo + 2 : hi + 2]  # right-movers land at x+1
+        lo, hi = 2 * (h - (r + p) // 2), 2 * (h + (r - p) // 2 + 1)
+        ell = cur_l[lo:hi]
+        arr = cur_r[lo:hi]
+        a = nxt_l[lo - 2 + 2 * p : hi - 2 + 2 * p]  # left-movers, x-1
+        b = nxt_r[lo + 2 * p : hi + 2 * p]  # right-movers, x+1
         np.add(ell, arr, out=a)
         np.multiply(a, _INV_SQRT2, out=a)
         np.subtract(ell, arr, out=b)
         np.multiply(b, _INV_SQRT2, out=b)
-        nxt[0, c - 1] *= omega
-        nxt[1, c + 1] *= omega
+        if not p:  # the origin was occupied
+            nxt[0, h - 1] *= omega
+            nxt[1, h] *= omega
         cur, nxt = nxt, cur
-        cur_f, nxt_f = nxt_f, cur_f
-        yield cur[:, c - xmax : c + xmax + 1]
+        cur_l, cur_r, nxt_l, nxt_r = nxt_l, nxt_r, cur_l, cur_r
+        yield wins[t % 2]
 
 
 def evolve(params: WalkParams, n: int) -> WalkState:
     """State after n steps from the origin, on its full support [-n, n].
 
     Runs the light-cone kernel with the window as wide as the support, so no
-    site is cut; ``step`` is the one-step reference it reproduces exactly.
+    site is cut, and scatters its sites onto [-n, n], where every other site
+    (x + n odd) is an exact zero; ``step`` is the one-step reference it
+    reproduces exactly.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     for amps in _light_cone(params, n, n):
         pass
-    return WalkState(offset=-n, amps=amps.T.copy(), time=n)
+    out = np.zeros((2 * n + 1, 2), dtype=complex)
+    out[::2] = amps.T
+    return WalkState(offset=-n, amps=out, time=n)
 
 
 def measure(state: WalkState) -> Measure:
@@ -227,34 +251,44 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     """Average of the site measures over times 0 .. T-1, restricted to |x| <= xmax.
 
     One light-cone kernel run to time T-1: step t updates only the sites
-    |x| <= min(t-1, xmax+T-t) that can still reach the window, in place in
-    two preallocated buffers.  The windows of consecutive steps are copied
+    |x| <= min(t-1, xmax+T-t) that can still reach the window, and only those
+    with x + t even.  Each parity of t has its own running sum over the
+    kernel's compact columns.  The windows of consecutive steps are copied
     into a block, no larger than one kernel buffer, whose measures are
-    squared and summed in one call each.  The block's rows are then added to
-    the running sum one at a time, in time order, so each site's sum is
-    formed in the order of a ``step`` loop; a site not yet reached adds an
-    exact zero.  The result equals a ``step`` loop bit for bit.
+    squared and summed in one call each.  The block's rows of each parity are
+    then added to that parity's sum one at a time, in time order, so each
+    site's sum is formed in the order of a ``step`` loop; a site not yet
+    reached adds an exact zero.  The loop also adds the measure of every
+    site with x + t odd, an exact zero, and adding +0.0 to a nonnegative sum
+    changes nothing, so skipping those sites keeps the result equal to a
+    ``step`` loop bit for bit.  The sum of the one column outside the window
+    is dropped.
     """
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
     if xmax < 0:
         raise DomainError(f"xmax must be >= 0, got {xmax}")
     n = T - 1
-    width = 2 * xmax + 1
-    rows = (2 * max(n, xmax) + 1) // width  # steps per block
-    block = np.empty((rows, 2, width), dtype=complex)
-    acc = np.zeros(width)
+    a = (xmax + 1) // 2  # window column of the origin
+    rows = (max(n, xmax) + 1) // (xmax + 1)  # steps per block
+    block = np.empty((rows, 2, xmax + 1), dtype=complex)
+    sums = np.zeros((2, xmax + 1))  # by parity of t, then compact column
     k = 0
     for t, amps in enumerate(_light_cone(params, n, xmax)):
         if k == 0:  # the block's columns: the sites its last step reaches
+            t0 = t
             w = min(t + rows - 1, n, xmax)
-            cols = slice(xmax - w, xmax + w + 1)
-        block[k, :, cols] = amps[:, cols]
+            cols = slice(a - (w + 1) // 2, a + w // 2 + 1)
+            dst = block[:, :, cols]
+        dst[k] = amps[:, cols]
         k += 1
         if k == rows or t == n:
-            mu = np.abs(block[:k, :, cols]) ** 2
-            window = acc[cols]
-            for row in mu[:, 0] + mu[:, 1]:
-                window += row
+            mu = np.abs(dst[:k]) ** 2
+            mu = mu[:, 0] + mu[:, 1]
+            for i in (0, 1):  # rows i, i+2, ... hold times of parity t0 + i
+                window = sums[(t0 + i) % 2, cols]
+                for row in mu[i::2]:
+                    window += row
             k = 0
-    return Measure(offset=-xmax, values=acc / T)
+    x = np.arange(-xmax, xmax + 1)
+    return Measure(offset=-xmax, values=sums[x % 2, a + x // 2] / T)

@@ -172,9 +172,6 @@ def test_residue_prefactor_matches_finite_difference():
             ) / (2 * h)
             pref = 1.0 / (2.0 * abs(1.0 + fd) ** 2)
             assert pt.residue_prefactor == pytest.approx(pref, abs=1e-10)
-            # and equals the derivative route |dL0/dz|^{-2}
-            dsq = abs(spectral.big_lambda0_deriv(pt.z, phi)) ** 2
-            assert pt.residue_prefactor == pytest.approx(1.0 / dsq, abs=1e-12)
 
 
 # 20 phi, each at least 1e-2 from the band edges 0, 1/4, 3/4 and 1

@@ -145,16 +145,27 @@ def test_unitarity_long_run():
 
 
 def test_parity_and_locality():
-    n = 31
-    state = walk.evolve(WalkParams.preset(1, 0.42), n)
-    mu = walk.measure(state)
-    for i, v in enumerate(mu.values):
-        x = mu.offset + i
-        if (x + n) % 2 == 1:
-            assert v == 0.0
-    # nothing beyond the light cone
-    assert mu.at(n + 1) == 0.0
-    assert mu.at(-n - 1) == 0.0
+    for n in (31, 30):
+        state = walk.evolve(WalkParams.preset(1, 0.42), n)
+        mu = walk.measure(state)
+        for i, v in enumerate(mu.values):
+            x = mu.offset + i
+            if (x + n) % 2 == 1:
+                assert v == 0.0
+        # nothing beyond the light cone
+        assert mu.at(n + 1) == 0.0
+        assert mu.at(-n - 1) == 0.0
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 7))
+def test_evolve_odd_parity_sites_are_zero(n):
+    # The kernel stores only the sites with x + n even; evolve fills the
+    # others of [-n, n] with exact zeros.
+    state = walk.evolve(_random_params(0.3, seed=n), n)
+    assert state.offset == -n and len(state.amps) == 2 * n + 1
+    for i, pair in enumerate(state.amps):
+        if (state.offset + i + n) % 2 == 1:
+            assert pair[0] == 0 and pair[1] == 0
 
 
 def test_symmetric_preset_distribution_is_even_homogeneous():
@@ -280,5 +291,25 @@ def test_time_average_block_edges(xmax):
     _, sums = _step_reference(params, times, pad)
     for T in sorted(times):
         mu = walk.time_average(params, T, xmax)
+        expected = sums[T][pad - xmax : pad + xmax + 1] / T
+        assert np.max(np.abs(mu.values - expected)) == 0.0
+
+
+@pytest.mark.parametrize("xmax", (2, 3))
+def test_time_average_parity_block_edges(xmax):
+    # The window holds the sites with x + t even in compact columns: at
+    # xmax = 2 three at even t and two at odd t, at xmax = 3 the reverse.
+    # A block has T // (xmax + 1) steps.  T <= 60 ends the last block on
+    # a step of either parity at many offsets within it; at T = 200 the last
+    # block ends on an odd step (xmax = 2: 3 blocks of 66 and one of 2;
+    # xmax = 3: 4 whole blocks of 50), at T = 201 on an even one (3 whole
+    # blocks of 67; 4 blocks of 50 and one of 1).
+    times = set(range(1, 61)) | {200, 201}
+    params = _random_params(0.7, seed=xmax)
+    pad = max(times)
+    _, sums = _step_reference(params, times, pad)
+    for T in sorted(times):
+        mu = walk.time_average(params, T, xmax)
+        assert mu.offset == -xmax
         expected = sums[T][pad - xmax : pad + xmax + 1] / T
         assert np.max(np.abs(mu.values - expected)) == 0.0
