@@ -28,6 +28,7 @@ from .spectral import (
     big_lambda0,
     f_tilde,
     lambda_tilde,
+    residue_norms,
     residue_norms_origin,
     singular_points,
     xi_tilde0_series,
@@ -63,6 +64,7 @@ __all__ = [
     "mu_inf_origin",
     "path_oracle_first_return",
     "psi_origin_sequence",
+    "residue_norms",
     "residue_norms_origin",
     "rstar",
     "rstar_series",

@@ -209,7 +209,7 @@ def cmd_compare(args) -> int:
 def cmd_spectrum(args) -> int:
     p = _params(args)
     pts = spectral.singular_points(p.phi)
-    norms = spectral._residue_norms(pts, p.phi, p.alpha, p.beta)
+    norms = spectral.residue_norms(pts, p.phi, p.alpha, p.beta)
     payload = [
         {
             "branch": pt.branch,
@@ -300,7 +300,7 @@ def _verify_checks():
         phi = i / 11
         pts = spectral.singular_points(phi)
         l0 += [abs(spectral.big_lambda0(pt.z, phi)) for pt in pts]
-        wsum.append(abs(sum(spectral._residue_norms(pts, phi, a, b))
+        wsum.append(abs(sum(spectral.residue_norms(pts, phi, a, b))
                         - limits.mu_inf_origin(phi, a, b)))
     yield "spectral closure |L0| (10-point grid)", np.max(l0), 1e-10
     yield "spectral closure residue-sum gap (10-point grid)", np.max(wsum), 1e-12

@@ -7,6 +7,11 @@ matrix basis {P, Q, R, S}, have rational coefficients generated by
 r*_n, generated by (-1 - z^2 + sqrt(1 + z^4)) / z, drive a renewal
 convolution that reconstructs the origin amplitude of the defect walk at
 every even time.
+
+Coefficients are built as integer ratios and rounded once, by int / int
+true division, where floats are needed; the renewal equation (and the
+resolvent series in ``spectral``) is solved by ``_series_reciprocal``, a
+Newton-doubling power-series reciprocal in O(log N) NumPy convolutions.
 """
 
 from __future__ import annotations
@@ -18,7 +23,23 @@ import numpy as np
 
 from .walk import DomainError, WalkParams
 
-_RENEWAL_MATRIX = np.array([[-1.0, 1.0], [-1.0, -1.0]], dtype=complex)
+
+def _sqrt1z4_ratios(N: int) -> list:
+    """Coefficients of z^0, z^4, ..., z^(4*(N//4)) in (1 + z^4)^(1/2), each an
+    unreduced integer ratio (numerator, denominator).
+
+    The binomial recurrence c_k = c_{k-1} (3 - 2k) / (2k) runs on the two
+    integers, so no rational arithmetic is needed.  Python's int / int true
+    division rounds correctly, so ``num / den`` is the float nearest the
+    exact coefficient, the same as ``float(Fraction(num, den))``.
+    """
+    num, den = 1, 1
+    out = [(num, den)]
+    for k in range(1, N // 4 + 1):
+        num *= 3 - 2 * k
+        den *= 2 * k
+        out.append((num, den))
+    return out
 
 
 def sqrt1z4_series(N: int) -> tuple:
@@ -29,13 +50,7 @@ def sqrt1z4_series(N: int) -> tuple:
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
     out = [Fraction(0)] * (N + 1)
-    c = Fraction(1)
-    out[0] = c
-    k = 1
-    while 4 * k <= N:
-        c = c * (Fraction(1, 2) - (k - 1)) / k
-        out[4 * k] = c
-        k += 1
+    out[::4] = [Fraction(num, den) for num, den in _sqrt1z4_ratios(N)]
     return tuple(out)
 
 
@@ -153,26 +168,76 @@ def path_oracle_first_return(n: int) -> Fraction:
     return path_oracle_coefficients(n)[2]
 
 
+def _series_reciprocal(a: np.ndarray) -> np.ndarray:
+    """The first len(a) coefficients of 1 / a(z), for a power series with
+    a[0] == 1.
+
+    Newton doubling: from g = 1/a mod z^m, the update g - g (a g - 1) is
+    1/a mod z^(2m).  Since a g - 1 has no terms below z^m, each round needs
+    only its terms m .. 2m - 1 and their product with g, so the whole
+    reciprocal takes O(log N) direct ``np.convolve`` calls.
+    """
+    n = len(a)
+    g = np.zeros(n, dtype=complex)
+    g[:1] = 1.0
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        err = np.convolve(a[:m2], g[:m])[m:m2]  # (a g - 1) z^-m mod z^(m2-m)
+        g[m:m2] = -np.convolve(g[: m2 - m], err)[: m2 - m]
+        m = m2
+    return g
+
+
+def _renewal_coefficients(nmax: int) -> np.ndarray:
+    """r*_{2a-1} for a = 1, ..., nmax as floats, from the closed form of
+    ``rstar``.
+
+    Only a = 1 and even a = 2m, where r*_{4m-1} = (-1)^(m-1) C(2m-2, m-1) /
+    (2^(2m-1) m), are nonzero.  The central binomial C(2m-2, m-1) is carried
+    from m to m + 1 by the exact integer step * (4m - 2) // m, and each ratio
+    is rounded once by int / int true division, so every float equals
+    ``float(rstar(2a - 1))``.
+    """
+    r = np.zeros(nmax)
+    r[:1] = -1.0
+    ratios = []
+    binom, den = 1, 2  # C(2m-2, m-1) and 2^(2m-1) at m = 1
+    for m in range(1, nmax // 2 + 1):
+        ratios.append((binom if m % 2 else -binom) / (den * m))
+        binom = binom * (4 * m - 2) // m
+        den *= 4
+    r[1::2] = ratios
+    return r
+
+
 def psi_origin_sequence(nmax: int, params: WalkParams) -> list:
     """Origin amplitudes at times 0, 2, ..., 2*nmax via the renewal convolution.
 
-    Psi_{2n}(0) = sum_{a=1}^{n} Xi*_{2a} Psi_{2(n-a)}(0) with Psi_0(0) the
-    initial coin state.  This telescopes the sum over return-epoch
-    compositions instead of enumerating them.  The coefficients come from
-    the closed form ``rstar``, stored in reverse, so each new amplitude is
-    one dot product of them with the history so far: O(nmax^2) flops, with
-    numpy over the history.  Returns nmax + 1 coin 2-vectors, indexed by n.
+    Psi_{2n}(0) = M sum_{a=1}^{n} c_a Psi_{2(n-a)}(0), with Psi_0(0) the
+    initial coin state, c_a = omega r*_{2a-1} / 2 from the closed form
+    ``rstar`` and M the renewal matrix [[-1, 1], [-1, -1]].  This telescopes
+    the sum over return-epoch compositions instead of enumerating them.  In
+    generating functions Psi(z) = psi_0 + M c(z) Psi(z).  M has eigenvectors
+    (1, eta i) with eigenvalues -1 + eta i (eta = +-1), and psi_0 splits as
+    sum_eta (alpha - eta i beta) / 2 (1, eta i), so
+
+        Psi(z) = sum_eta (alpha - eta i beta) / 2 (1, eta i) / (1 - (-1 + eta i) c(z)),
+
+    two scalar power-series reciprocals.  Returns nmax + 1 coin 2-vectors,
+    indexed by n; the n = 0 vector is exactly (alpha, beta).
     """
     if nmax < 0:
-        raise DomainError(f"n must be >= 0, got {nmax}")
-    omega = params.omega
-    coeff_rev = np.array(
-        [omega * float(rstar(2 * a - 1)) / 2.0 for a in range(nmax, 0, -1)],
-        dtype=complex,
-    )
-    psi = np.empty((nmax + 1, 2), dtype=complex)
+        raise DomainError(f"nmax must be >= 0, got {nmax}")
+    c = params.omega * _renewal_coefficients(nmax) / 2.0
+    psi = np.zeros((nmax + 1, 2), dtype=complex)
+    for eta in (1, -1):
+        denom = np.empty(nmax + 1, dtype=complex)
+        denom[0] = 1.0
+        denom[1:] = (1 - eta * 1j) * c  # 1 - (-1 + eta i) c(z)
+        weight = (params.alpha - eta * 1j * params.beta) / 2
+        g = weight * _series_reciprocal(denom)
+        psi[:, 0] += g
+        psi[:, 1] += eta * 1j * g
     psi[0] = (params.alpha, params.beta)
-    for k in range(1, nmax + 1):
-        # coeff_rev[nmax - k:] holds the coefficients for a = k, ..., 1
-        psi[k] = _RENEWAL_MATRIX @ (coeff_rev[nmax - k:] @ psi[:k])
     return list(psi)

@@ -5,12 +5,13 @@ L0(z) = 1 - sqrt(2) w f(z) + w^2 f(z)^2  (w = exp(2*pi*i*phi)) has simple
 zeros on the unit circle.  Those zeros carry the point-mass (localized) part
 of the time-averaged measure: each contributes the squared norm of the
 corresponding residue.  This module computes f(z), the decay factor
-lambda(z), the singular points in closed form, and the numeric residue norms
-at the origin.
+lambda(z), the singular points in closed form, the numeric residue norms
+at the origin, and the power series of the at-origin resolvent, which checks
+the renewal convolution of ``series`` coefficient by coefficient.
 
 Each singular-point quantity has one route: ``singular_points`` evaluates
 dL0/dz once per point, as ``residue_prefactor`` = 1/|dL0/dz|^2, and
-``residue_norms_origin`` reads it from the points.
+``residue_norms`` reads it from the points.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import sqrt1z4_series
+from .series import _series_reciprocal, _sqrt1z4_ratios
 from .walk import SQRT2, DomainError, _check_phi
 
 # root family -> (sign of pi/4 in its angle eps, open phi interval of its zeros)
@@ -137,21 +138,18 @@ def _origin_numerator(z: complex, phi: float, alpha: complex, beta: complex):
     return (alpha * (1 - g) - beta * g, alpha * g + beta * (1 - g))
 
 
-def residue_norms_origin(phi: float, alpha: complex, beta: complex) -> list:
-    """Squared residue norms of the origin resolvent, one per singular point.
+def residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> list:
+    """Squared residue norms of the origin resolvent at ``points``, the
+    singular points of ``phi`` as ``singular_points(phi)`` returns them, in
+    the same order.
 
     Computed from the actual residue (numerator over dL0/dz at the pole, the
     latter read as each point's ``residue_prefactor``), not from the closed
     form, so the sum is an independent route to the time-averaged limit
-    measure at the origin.  Returned in the same order as
-    ``singular_points(phi)``.
+    measure at the origin.  Taking the points lets a caller that needs both
+    run the ``singular_points`` gate once.
     """
-    return _residue_norms(singular_points(phi), phi, alpha, beta)
-
-
-def _residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> list:
-    """``residue_norms_origin`` at points already found by ``singular_points``,
-    for a caller that needs both without running the gate twice."""
+    _check_phi(phi)
     out = []
     for pt in points:
         n1, n2 = _origin_numerator(pt.z, phi, alpha, beta)
@@ -159,38 +157,44 @@ def _residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> l
     return out
 
 
+def residue_norms_origin(phi: float, alpha: complex, beta: complex) -> list:
+    """``residue_norms`` at ``singular_points(phi)``."""
+    return residue_norms(singular_points(phi), phi, alpha, beta)
+
+
 def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     """Power-series expansion of the at-origin resolvent through z^N.
 
     Returns an array of shape (N+1, 2, 2); the z^(2n) coefficient applied to
     the initial coin state reproduces the renewal origin amplitude at time 2n.
-    Built by composing the rational sqrt(1+z^4) series into f, then inverting
-    1/L0 term by term.
+    Built by composing the sqrt(1+z^4) series into f, its coefficients the
+    exact binomial ratios rounded once to floats, then inverting L0 by Newton
+    doubling (O(log N) convolutions).  f and L0 hold only even powers of z,
+    so the series are built in u = z^2 and every odd coefficient is exactly
+    0.0.
     """
     _check_phi(phi)
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    s4 = np.array([float(c) for c in sqrt1z4_series(N)])
+    n = N // 2 + 1  # coefficients of u^0 .. u^(N//2)
+    s4 = np.zeros(n)
+    s4[::2] = [num / den for num, den in _sqrt1z4_ratios(N)]
     f = -s4 / SQRT2
     f[0] += 1 / SQRT2
-    if N >= 2:
-        f[2] += 1 / SQRT2
+    if n > 1:
+        f[1] += 1 / SQRT2
     f = f.astype(complex)
     w = cmath.exp(2j * math.pi * phi)
-    fsq = np.convolve(f, f)[: N + 1]
+    fsq = np.convolve(f, f)[:n]
     lam = -SQRT2 * w * f + w * w * fsq
+    # f has no u^0 term, so L0's constant term is exactly 1
     lam[0] += 1.0
-    # geometric inversion of L0; f has no z^0 term, so L0's constant term is
-    # exactly 1
-    inv = np.zeros(N + 1, dtype=complex)
-    inv[0] = 1.0
-    for n in range(1, N + 1):
-        inv[n] = -np.dot(lam[1 : n + 1], inv[n - 1 :: -1][:n])
+    inv = _series_reciprocal(lam)
     g = w * f / SQRT2
     out = np.zeros((N + 1, 2, 2), dtype=complex)
-    ig = np.convolve(inv, g)[: N + 1]
-    out[:, 0, 0] = inv - ig
-    out[:, 0, 1] = -ig
-    out[:, 1, 0] = ig
-    out[:, 1, 1] = inv - ig
+    ig = np.convolve(inv, g)[:n]
+    out[::2, 0, 0] = inv - ig
+    out[::2, 0, 1] = -ig
+    out[::2, 1, 0] = ig
+    out[::2, 1, 1] = inv - ig
     return out

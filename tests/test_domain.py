@@ -24,6 +24,7 @@ PHI_TAKERS = {
     ),
     "cgmv_limit_origin": lambda phi: limits.cgmv_limit_origin(phi, A, B),
     "singular_points": spectral.singular_points,
+    "residue_norms": lambda phi: spectral.residue_norms([], phi, A, B),
     "residue_norms_origin": lambda phi: spectral.residue_norms_origin(phi, A, B),
     "xi_tilde0_series": lambda phi: spectral.xi_tilde0_series(phi, 4),
     "big_lambda0": lambda phi: spectral.big_lambda0(0.5j, phi),

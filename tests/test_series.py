@@ -16,6 +16,59 @@ def test_sqrt1z4_low_coefficients():
     assert all(s[n] == 0 for n in range(13) if n % 4 != 0)
 
 
+def _sqrt1z4_fraction_reference(N):
+    # the binomial recurrence in Fraction arithmetic, term by term
+    out = [Fraction(0)] * (N + 1)
+    c = Fraction(1)
+    out[0] = c
+    k = 1
+    while 4 * k <= N:
+        c = c * (Fraction(1, 2) - (k - 1)) / k
+        out[4 * k] = c
+        k += 1
+    return out
+
+
+def test_exact_series_match_fraction_recurrence():
+    ref = _sqrt1z4_fraction_reference(2001)
+    assert series.sqrt1z4_series(2000) == tuple(ref[:2001])
+    assert series.first_return_series(2000) == tuple(ref[1:])
+    rstar_ref = ref[1:]
+    rstar_ref[1] -= 1
+    assert series.rstar_series(2000) == tuple(rstar_ref)
+
+
+def test_renewal_coefficients_equal_rstar_floats():
+    got = series._renewal_coefficients(1000)
+    want = [float(series.rstar(2 * a - 1)) for a in range(1, 1001)]
+    assert len(got) == 1000
+    assert all(g == w for g, w in zip(got, want))
+
+
+def _reciprocal_loop_reference(a):
+    # 1/a(z) by the plain recurrence g_n = -sum_{k=1}^{n} a_k g_{n-k}
+    g = np.zeros(len(a), dtype=complex)
+    g[0] = 1.0
+    for n in range(1, len(a)):
+        g[n] = -np.dot(a[1 : n + 1], g[n - 1 :: -1])
+    return g
+
+
+def test_series_reciprocal_matches_loop_reference():
+    # every length up to 71 crosses each doubling boundary; the error of a
+    # coefficient is bounded relative to the largest coefficient so far,
+    # since the reciprocal of a random series grows geometrically
+    rng = np.random.default_rng(3)
+    for N in list(range(71)) + [600]:
+        a = 0.5 * (rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+        a[0] = 1.0
+        got = series._series_reciprocal(a)
+        ref = _reciprocal_loop_reference(a)
+        assert len(got) == N + 1
+        scale = np.maximum.accumulate(np.abs(ref))
+        assert np.max(np.abs(got - ref) / scale) <= 1e-13
+
+
 def test_sqrt1z4_squares_back():
     n = 40
     s = series.sqrt1z4_series(n)
@@ -143,9 +196,19 @@ def test_renewal_matrix_eigenvectors():
         assert np.allclose(m @ v, (-1 + eta * 1j) * v, atol=0)
 
 
-def test_psi_origin_time_zero():
+def test_psi_origin_rejects_negative_nmax():
     params = WalkParams(phi=0.3, alpha=0.6, beta=0.8j)
-    assert np.allclose(series.psi_origin_sequence(0, params)[0], [0.6, 0.8j])
+    with pytest.raises(DomainError, match="nmax must be >= 0, got -1$"):
+        series.psi_origin_sequence(-1, params)
+
+
+def test_psi_origin_time_zero():
+    # the n = 0 amplitude is the initial state itself, not a sum over branches
+    for phi, v in zip((0.3, 0.5, 0.9), _random_states(3, seed=5)):
+        params = WalkParams(phi=phi, alpha=complex(v[0]), beta=complex(v[1]))
+        for nmax in (0, 1, 40):
+            psi0 = series.psi_origin_sequence(nmax, params)[0]
+            assert psi0[0] == params.alpha and psi0[1] == params.beta
 
 
 def test_psi_origin_first_epoch_closed_form():

@@ -212,6 +212,14 @@ def test_residue_vanishing_branch():
             assert v <= 1e-28
 
 
+def test_residue_norms_at_points_equal_origin_norms():
+    for phi in (0.0,) + tuple(PHI_GRID):
+        pts = spectral.singular_points(phi)
+        assert spectral.residue_norms(pts, phi, 0.6, 0.8j) == (
+            spectral.residue_norms_origin(phi, 0.6, 0.8j)
+        )
+
+
 def test_residue_sum_reconstructs_origin_limit():
     states = [
         (1 / SQRT2, 1j / SQRT2),
@@ -227,9 +235,11 @@ def test_residue_sum_reconstructs_origin_limit():
 
 
 def test_xi_tilde0_series_structure():
-    co = spectral.xi_tilde0_series(0.3, 16)
-    assert np.allclose(co[0], np.eye(2), atol=1e-14)
-    assert np.max(np.abs(co[1::2])) == 0.0
+    for N in (16, 17, 600):
+        co = spectral.xi_tilde0_series(0.3, N)
+        assert co.shape == (N + 1, 2, 2)
+        assert np.allclose(co[0], np.eye(2), atol=1e-14)
+        assert np.max(np.abs(co[1::2])) == 0.0
 
 
 def test_xi_tilde0_series_matches_renewal():

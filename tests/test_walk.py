@@ -279,10 +279,10 @@ def test_reciprocal_scaling_matches_numpy_division():
 def test_time_average_block_edges(xmax):
     # Every T up to 60 ends the last block at many offsets within it; at
     # xmax = 40 every block is one step and the window is wider than the
-    # light cone.  For xmax = 5 a block has (2T - 1) // 11 steps.  T <= 60
-    # holds every T one step past a whole number of blocks (the last is
-    # 55 = 6*9 + 1); 66 = 6*11 is the last T at a whole number, and
-    # 77 = 6*13 - 1 the last T one step short of one.
+    # light cone.  For xmax = 5 a block has T // 6 steps.  T <= 60 holds
+    # every T one step past a whole number of blocks (the last is
+    # 55 = 6*9 + 1); 66 = 6*11 ends at a whole number of 11-step blocks,
+    # and 77 = 6*12 + 5 five steps into its seventh 12-step block.
     times = set(range(1, 61))
     if xmax == 5:
         times |= {66, 77}
