@@ -9,6 +9,7 @@ parameter out of domain, unwritable --out), 3 verification failure (a failed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -117,7 +118,13 @@ def _emit_table(header, sites, columns, out_path, extra=()):
     _emit([header, *rows, *extra], out_path)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and kept for the process.
+
+    It holds no per-call state: ``parse_args`` returns a fresh Namespace on
+    every call, so ``main`` can reuse it.
+    """
     ap = argparse.ArgumentParser(
         prog="defectwalk",
         description="One-defect Hadamard walk: simulation, limit measures, "
@@ -226,12 +233,17 @@ def cmd_spectrum(args) -> int:
 
 def cmd_series(args) -> int:
     if args.order < 0:
-        raise DomainError("--order must be >= 0")
+        raise DomainError(f"--order must be >= 0, got {args.order}")
     lines = ["n,numerator,denominator"]
     if args.what == "rstar":
-        for n in range(1, args.order + 1):
-            v = series.rstar(n)
-            lines.append(f"{n},{v.numerator},{v.denominator}")
+        # r*_n is -1 at n = 1 and zero unless n = 4m - 1; the nonzero
+        # ratios are reduced once by their gcd, as Fraction would reduce them
+        lines += [f"{n},0,1" for n in range(1, args.order + 1)]  # lines[n] is row n
+        if args.order >= 1:
+            lines[1] = "1,-1,1"
+        for m, (num, den) in enumerate(series._rstar_ratios((args.order + 1) // 4), 1):
+            g = math.gcd(num, den)
+            lines[4 * m - 1] = f"{4 * m - 1},{num // g},{den // g}"
     elif args.what == "sqrt1z4":
         ps = series.sqrt1z4_series(args.order)
         for n in range(args.order + 1):

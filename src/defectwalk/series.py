@@ -189,25 +189,33 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _renewal_coefficients(nmax: int) -> np.ndarray:
-    """r*_{2a-1} for a = 1, ..., nmax as floats, from the closed form of
-    ``rstar``.
+def _rstar_ratios(mmax: int) -> list:
+    """r*_{4m-1} for m = 1, ..., mmax, each an unreduced integer ratio
+    (numerator, denominator), from the closed form of ``rstar``:
+    (-1)^(m-1) C(2m-2, m-1) / (2^(2m-1) m).
 
-    Only a = 1 and even a = 2m, where r*_{4m-1} = (-1)^(m-1) C(2m-2, m-1) /
-    (2^(2m-1) m), are nonzero.  The central binomial C(2m-2, m-1) is carried
-    from m to m + 1 by the exact integer step * (4m - 2) // m, and each ratio
-    is rounded once by int / int true division, so every float equals
-    ``float(rstar(2a - 1))``.
+    The central binomial C(2m-2, m-1) is carried from m to m + 1 by the
+    exact integer step * (4m - 2) // m, so no ``math.comb`` is needed.
+    """
+    out = []
+    binom, pow2 = 1, 2  # C(2m-2, m-1) and 2^(2m-1) at m = 1
+    for m in range(1, mmax + 1):
+        out.append((binom if m % 2 else -binom, pow2 * m))
+        binom = binom * (4 * m - 2) // m
+        pow2 *= 4
+    return out
+
+
+def _renewal_coefficients(nmax: int) -> np.ndarray:
+    """r*_{2a-1} for a = 1, ..., nmax as floats, from ``_rstar_ratios``.
+
+    Only a = 1 and even a = 2m (r*_{4m-1}) are nonzero.  Each ratio is
+    rounded once by int / int true division, which rounds correctly, so
+    every float equals ``float(rstar(2a - 1))``.
     """
     r = np.zeros(nmax)
     r[:1] = -1.0
-    ratios = []
-    binom, den = 1, 2  # C(2m-2, m-1) and 2^(2m-1) at m = 1
-    for m in range(1, nmax // 2 + 1):
-        ratios.append((binom if m % 2 else -binom) / (den * m))
-        binom = binom * (4 * m - 2) // m
-        den *= 4
-    r[1::2] = ratios
+    r[1::2] = [num / den for num, den in _rstar_ratios(nmax // 2)]
     return r
 
 

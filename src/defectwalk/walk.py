@@ -134,9 +134,6 @@ class Measure:
             return float(self.values[i])
         return 0.0
 
-    def total(self) -> float:
-        return float(np.sum(self.values))
-
 
 def initial_state(params: WalkParams) -> WalkState:
     amps = np.array([[params.alpha, params.beta]], dtype=complex)

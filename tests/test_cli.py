@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -5,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from defectwalk import cli, limits, walk
+from defectwalk import cli, limits, series, walk
 
 
 def run(capsys, *argv):
@@ -105,6 +106,61 @@ def test_series_rstar_rows(capsys):
     assert table[2] == (0, 1)
     assert table[3] == (1, 2)
     assert table[7] == (-1, 8)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 7, 11, 1000, 1003])
+def test_series_rstar_table_equals_rstar(capsys, order):
+    want = "n,numerator,denominator\n" + "".join(
+        f"{n},{v.numerator},{v.denominator}\n"
+        for n, v in ((n, series.rstar(n)) for n in range(1, order + 1))
+    )
+    assert run(capsys, "series", "--what", "rstar", "--order", str(order)) == (0, want, "")
+
+
+def test_negative_order_is_usage_error(capsys):
+    code, out, err = run(capsys, "series", "--what", "rstar", "--order", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --order must be >= 0, got -1\n"
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    def fresh(*argv):
+        cli.build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    eta = ("compare", "--phi", "0.3", "--T", "40", "--xmax", "2", "--eta", "-1")
+    plain = ("compare", "--phi", "0.3", "--T", "40", "--xmax", "2")
+    normalized = ("limit", "--phi", "0.3", "--xmax", "2",
+                  "--alpha=3,0", "--beta=0,4", "--normalize")
+    limit = ("limit", "--phi", "0.3", "--xmax", "2")
+    calls = (eta, plain, normalized, limit)
+    want = [fresh(*argv) for argv in calls]
+    assert want[0] != want[1] and want[2] != want[3]
+    got = [run(capsys, *argv) for argv in calls]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["limit", "--phi", "0.3", "--xmax", "two"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    got += [run(capsys, *limit), run(capsys, *plain)]
+    assert got == want + [want[3], want[1]]
+
+
+def test_second_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    argv = ("limit", "--phi", "0.3", "--xmax", "1")
+    first = run(capsys, *argv)
+    assert built  # the first call builds the parser and its subparsers
+    count = len(built)
+    assert run(capsys, *argv) == first
+    assert len(built) == count
 
 
 def test_series_sqrt1z4_rows(capsys):

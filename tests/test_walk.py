@@ -114,7 +114,7 @@ def test_time_average_single_term():
     params = WalkParams(phi=0.3, alpha=1.0, beta=0.0)
     mu = walk.time_average(params, 1, 3)
     assert mu.at(0) == pytest.approx(1.0)
-    assert mu.total() == pytest.approx(1.0)
+    assert np.sum(mu.values) == pytest.approx(1.0)
 
 
 def test_time_average_homogeneous_origin_decays():
