@@ -231,30 +231,37 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _ratio_rows(first: int, last: int, nonzero) -> list:
+    """Rows "n,numerator,denominator" for n = first .. last, zero except at
+    the (n, (num, den)) pairs of ``nonzero``.  Each ratio has den > 0 and is
+    reduced once by its gcd, as Fraction would reduce it."""
+    lines = [f"{n},0,1" for n in range(first, last + 1)]
+    for n, (num, den) in nonzero:
+        g = math.gcd(num, den)
+        lines[n - first] = f"{n},{num // g},{den // g}"
+    return lines
+
+
 def cmd_series(args) -> int:
-    if args.order < 0:
-        raise DomainError(f"--order must be >= 0, got {args.order}")
-    lines = ["n,numerator,denominator"]
+    order = args.order
+    if order < 0:
+        raise DomainError(f"--order must be >= 0, got {order}")
     if args.what == "rstar":
-        # r*_n is -1 at n = 1 and zero unless n = 4m - 1; the nonzero
-        # ratios are reduced once by their gcd, as Fraction would reduce them
-        lines += [f"{n},0,1" for n in range(1, args.order + 1)]  # lines[n] is row n
-        if args.order >= 1:
-            lines[1] = "1,-1,1"
-        for m, (num, den) in enumerate(series._rstar_ratios((args.order + 1) // 4), 1):
-            g = math.gcd(num, den)
-            lines[4 * m - 1] = f"{4 * m - 1},{num // g},{den // g}"
+        # r*_n is -1 at n = 1 and zero unless n = 4m - 1
+        nonzero = [(1, (-1, 1))] if order >= 1 else []
+        nonzero += [(4 * m - 1, r)
+                    for m, r in enumerate(series._rstar_ratios((order + 1) // 4), 1)]
+        rows = _ratio_rows(1, order, nonzero)
     elif args.what == "sqrt1z4":
-        ps = series.sqrt1z4_series(args.order)
-        for n in range(args.order + 1):
-            v = ps[n]
-            lines.append(f"{n},{v.numerator},{v.denominator}")
+        # the z^n coefficient of sqrt(1 + z^4) is zero unless 4 divides n
+        rows = _ratio_rows(0, order, [
+            (4 * k, r) for k, r in enumerate(series._sqrt1z4_ratios(order))])
     else:
-        ps = series.first_return_series(args.order)
-        for n in range(1, args.order + 1):
-            v = ps[n]
-            lines.append(f"{n},{v.numerator},{v.denominator}")
-    _emit(lines, args.out)
+        # first-return coefficient n is the z^(n+1) one of sqrt(1 + z^4)
+        rows = _ratio_rows(1, order, [
+            (4 * k - 1, r)
+            for k, r in enumerate(series._sqrt1z4_ratios(order + 1)) if k])
+    _emit(["n,numerator,denominator", *rows], args.out)
     return 0
 
 

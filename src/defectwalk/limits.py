@@ -12,7 +12,10 @@ Family eta has the angle a = 2*pi*phi - eta*pi/4, the energy
 w = sqrt(2)*cos(a) = C + eta*S (C = cos(2*pi*phi), S = sin(2*pi*phi)), and
 projects the coin state onto alpha - eta*i*beta.  ``_families`` evaluates
 both, and ``mu_inf``, ``mu_inf_origin``, ``total_point_mass``,
-``asymptotic_psi_origin`` and ``compare_stationary_timeavg`` read it.
+``asymptotic_psi_origin`` and ``compare_stationary_timeavg`` read it.  Every
+caller evaluates a profile over many sites for one (phi, state), so the table
+is memoized: it is built once per (phi, alpha, beta), and only a build checks
+the coin state.  Each public function still checks phi on every call.
 
 ``cgmv_limit_origin`` and ``stationary_measure`` do not read the table: they
 spell the two energies inline as C +- S.  The CMV-equality check and the
@@ -23,12 +26,13 @@ rather than of one formula with itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import SQRT2, DomainError, _check_phi
+from .walk import SQRT2, DomainError, _check_phi, _check_state
 
 # eta -> the open phi interval where family eta carries mass.  At each end
 # its energy w is 1, where the weight ((1 - w)/(3 - 2w))^2 vanishes, so the
@@ -55,15 +59,24 @@ def _family_weight(w: float) -> float:
     return ((1 - w) / (3 - 2 * w)) ** 2
 
 
-def _families(phi: float, alpha: complex, beta: complex):
-    """Yield (eta, w, mu) for eta = -1, +1: the family's energy w and its
-    point mass mu at the origin, which is zero outside its interval."""
+@functools.lru_cache(maxsize=8, typed=True)
+def _families(phi: float, alpha: complex, beta: complex) -> tuple:
+    """(eta, w, mu) for eta = -1, +1: the family's energy w and its point
+    mass mu at the origin, which is zero outside its interval.
+
+    Memoized; a miss first checks the coin state (``_check_state``), and the
+    caller has checked phi.  ``typed`` keeps keys of different numeric types
+    apart, since equal values of two types can round differently.
+    """
+    _check_state(alpha, beta)
+    table = []
     for eta, (lo, hi) in _FAMILIES.items():
         w = SQRT2 * math.cos(_angle(phi, eta))
         mu = 0.0
         if lo < phi < hi:
             mu = _family_weight(w) * abs(alpha - eta * 1j * beta) ** 2
-        yield eta, w, mu
+        table.append((eta, w, mu))
+    return tuple(table)
 
 
 def mu_inf_origin(phi: float, alpha: complex, beta: complex) -> float:
@@ -95,7 +108,7 @@ def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
     contributes nothing to any fixed site's time average.
     """
     _check_phi(phi)
-    families = list(_families(phi, alpha, beta))
+    families = _families(phi, alpha, beta)
     total = sum(mu for _, _, mu in families)
     for _, w, mu in families:
         if mu == 0.0:
@@ -234,6 +247,7 @@ def cgmv_limit_origin(phi: float, alpha: complex, beta: complex) -> float:
     Zero at phi = 0, where neither localization region applies.
     """
     _check_phi(phi)
+    _check_state(alpha, beta)
     C = math.cos(2 * math.pi * phi)
     S = math.sin(2 * math.pi * phi)
     E_plus = C + S

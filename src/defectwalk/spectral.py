@@ -11,7 +11,10 @@ the renewal convolution of ``series`` coefficient by coefficient.
 
 Each singular-point quantity has one route: ``singular_points`` evaluates
 dL0/dz once per point, as ``residue_prefactor`` = 1/|dL0/dz|^2, and
-``residue_norms`` reads it from the points.
+``residue_norms`` reads it from the points.  Each formula is written once, in
+a private helper of (w, f, sqrt(z^4 + 1)) that the public function of z calls
+too; ``singular_points`` computes w once per call and sqrt(z^4 + 1) and f(z)
+once per point, and forms the gate's |L0|, lambda and dL0/dz from them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import _series_reciprocal, _sqrt1z4_ratios
-from .walk import SQRT2, DomainError, _check_phi
+from .walk import SQRT2, DomainError, _check_phi, _check_state
 
 # root family -> (sign of pi/4 in its angle eps, open phi interval of its zeros)
 _ROOT_FAMILIES = {"eps_plus": (1, 0.0, 0.75), "eps_minus": (-1, 0.25, 1.0)}
@@ -50,26 +53,28 @@ class SpectralPoint:
         return cmath.exp(1j * self.theta_s)
 
 
-def f_tilde(z: complex) -> complex:
-    """f(z) = (z^2 + 1 - sqrt(z^4 + 1)) / sqrt(2), principal branch from f(0)=0.
-
-    The principal square root is continuous on the closed unit disk except at
-    the four branch points z^4 = -1, where z^4 + 1 vanishes.
-    """
-    z = complex(z)
-    return (z * z + 1 - cmath.sqrt(z ** 4 + 1)) / SQRT2
+def _phase(phi: float) -> complex:
+    """w = exp(2*pi*i*phi)."""
+    return cmath.exp(2j * math.pi * phi)
 
 
-def f_tilde_deriv(z: complex) -> complex:
-    """d f / dz = sqrt(2) z (1 - z^2 / sqrt(z^4 + 1))."""
-    z = complex(z)
-    return SQRT2 * z * (1 - z * z / cmath.sqrt(z ** 4 + 1))
+def _root(z: complex) -> complex:
+    """Principal sqrt(z^4 + 1) of a complex z."""
+    return cmath.sqrt(z ** 4 + 1)
 
 
-def lambda_tilde(z: complex) -> complex:
-    """lambda(z) = z / (f(z) - sqrt(2)); |f| <= 1 on the closed disk keeps the
-    denominator away from zero."""
-    f = f_tilde(z)
+def _f(z: complex, root: complex) -> complex:
+    """f(z) from z and root = sqrt(z^4 + 1)."""
+    return (z * z + 1 - root) / SQRT2
+
+
+def _f_deriv(z: complex, root: complex) -> complex:
+    """f'(z) from z and root = sqrt(z^4 + 1)."""
+    return SQRT2 * z * (1 - z * z / root)
+
+
+def _lambda(z: complex, f: complex) -> complex:
+    """lambda(z) from z and f = f(z)."""
     d = f - SQRT2
     if not abs(d) > 0.1:
         raise DomainError(
@@ -79,6 +84,38 @@ def lambda_tilde(z: complex) -> complex:
     return complex(z) / d
 
 
+def _l0(w: complex, f: complex) -> complex:
+    """L0 from w = exp(2*pi*i*phi) and f = f(z)."""
+    return 1 - SQRT2 * w * f + (w * f) ** 2
+
+
+def _l0_deriv(w: complex, f: complex, f_deriv: complex) -> complex:
+    """dL0/dz from w, f = f(z) and f_deriv = f'(z)."""
+    return (-SQRT2 * w + 2 * w * w * f) * f_deriv
+
+
+def f_tilde(z: complex) -> complex:
+    """f(z) = (z^2 + 1 - sqrt(z^4 + 1)) / sqrt(2), principal branch from f(0)=0.
+
+    The principal square root is continuous on the closed unit disk except at
+    the four branch points z^4 = -1, where z^4 + 1 vanishes.
+    """
+    z = complex(z)
+    return _f(z, _root(z))
+
+
+def f_tilde_deriv(z: complex) -> complex:
+    """d f / dz = sqrt(2) z (1 - z^2 / sqrt(z^4 + 1))."""
+    z = complex(z)
+    return _f_deriv(z, _root(z))
+
+
+def lambda_tilde(z: complex) -> complex:
+    """lambda(z) = z / (f(z) - sqrt(2)); |f| <= 1 on the closed disk keeps the
+    denominator away from zero."""
+    return _lambda(z, f_tilde(z))
+
+
 def big_lambda0(z: complex, phi: float) -> complex:
     """L0(z) = 1 - sqrt(2) w f(z) + w^2 f(z)^2 with w = exp(2*pi*i*phi).
 
@@ -86,16 +123,13 @@ def big_lambda0(z: complex, phi: float) -> complex:
     w f(z) = e^{+-i pi/4}.
     """
     _check_phi(phi)
-    w = cmath.exp(2j * math.pi * phi)
-    f = f_tilde(z)
-    return 1 - SQRT2 * w * f + (w * f) ** 2
+    return _l0(_phase(phi), f_tilde(z))
 
 
 def big_lambda0_deriv(z: complex, phi: float) -> complex:
     """dL0/dz = (-sqrt(2) w + 2 w^2 f(z)) f'(z)."""
     _check_phi(phi)
-    w = cmath.exp(2j * math.pi * phi)
-    return (-SQRT2 * w + 2 * w * w * f_tilde(z)) * f_tilde_deriv(z)
+    return _l0_deriv(_phase(phi), f_tilde(z), f_tilde_deriv(z))
 
 
 def singular_points(phi: float) -> list:
@@ -103,9 +137,12 @@ def singular_points(phi: float) -> list:
 
     A root family has zeros on its open phi interval in ``_ROOT_FAMILIES``,
     exactly where its point-mass weight is positive, so at phi = 0 there are
-    none.  Each closed-form point must satisfy |L0(e^{i theta_s})| <= 1e-10.
+    none.  Each closed-form point must satisfy |L0(e^{i theta_s})| <= 1e-10,
+    with f computed from z by the principal square root, not taken from the
+    closed form.
     """
     _check_phi(phi)
+    w = _phase(phi)
     points = []
     for name, (sign, lo, hi) in _ROOT_FAMILIES.items():
         if not lo < phi < hi:
@@ -118,7 +155,9 @@ def singular_points(phi: float) -> list:
         for pm, cos_s, sin_s in (("+", c, s), ("-", -c, -s)):
             theta = math.atan2(sin_s, cos_s)
             z = cmath.exp(1j * theta)
-            resid = abs(big_lambda0(z, phi))
+            root = _root(z)
+            f = _f(z, root)
+            resid = abs(_l0(w, f))
             if resid > 1e-10:
                 raise ArithmeticError(
                     f"singular point failed to converge: |L0| = {resid:.3e} "
@@ -126,14 +165,14 @@ def singular_points(phi: float) -> list:
                 )
             points.append(SpectralPoint(
                 theta_s=theta, branch=f"{name}:{pm}",
-                lambda_sq=abs(lambda_tilde(z)) ** 2,
-                residue_prefactor=1 / abs(big_lambda0_deriv(z, phi)) ** 2))
+                lambda_sq=abs(_lambda(z, f)) ** 2,
+                residue_prefactor=1 / abs(_l0_deriv(w, f, _f_deriv(z, root))) ** 2))
     return points
 
 
-def _origin_numerator(z: complex, phi: float, alpha: complex, beta: complex):
-    """Numerator vector of the at-origin resolvent applied to the coin state."""
-    w = cmath.exp(2j * math.pi * phi)
+def _origin_numerator(z: complex, w: complex, alpha: complex, beta: complex):
+    """Numerator vector of the at-origin resolvent applied to the coin state,
+    with w = exp(2*pi*i*phi)."""
     g = w * f_tilde(z) / SQRT2
     return (alpha * (1 - g) - beta * g, alpha * g + beta * (1 - g))
 
@@ -150,9 +189,11 @@ def residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> li
     run the ``singular_points`` gate once.
     """
     _check_phi(phi)
+    _check_state(alpha, beta)
+    w = _phase(phi)
     out = []
     for pt in points:
-        n1, n2 = _origin_numerator(pt.z, phi, alpha, beta)
+        n1, n2 = _origin_numerator(pt.z, w, alpha, beta)
         out.append((abs(n1) ** 2 + abs(n2) ** 2) * pt.residue_prefactor)
     return out
 
@@ -184,7 +225,7 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     if n > 1:
         f[1] += 1 / SQRT2
     f = f.astype(complex)
-    w = cmath.exp(2j * math.pi * phi)
+    w = _phase(phi)
     fsq = np.convolve(f, f)[:n]
     lam = -SQRT2 * w * f + w * w * fsq
     # f has no u^0 term, so L0's constant term is exactly 1

@@ -22,6 +22,7 @@ only have added +0.0 to a nonnegative sum, which changes nothing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,20 @@ def _norm_sq(alpha: complex, beta: complex) -> float:
         return math.inf
 
 
+def _check_state(alpha: complex, beta: complex) -> None:
+    """The one domain rule for a coin state (alpha, beta): both parts finite
+    and the state normalized (``_is_normalized``)."""
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise DomainError(
+            f"initial coin state must be finite, got ({alpha}, {beta})"
+        )
+    norm = _norm_sq(alpha, beta)
+    if not _is_normalized(norm):
+        raise DomainError(
+            f"initial coin state not normalized: |alpha|^2+|beta|^2 = {norm}"
+        )
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Defect phase and initial coin state.
@@ -74,16 +89,8 @@ class WalkParams:
     beta: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise DomainError(
-                f"initial coin state must be finite, got ({self.alpha}, {self.beta})"
-            )
         _check_phi(self.phi)
-        norm = _norm_sq(self.alpha, self.beta)
-        if not _is_normalized(norm):
-            raise DomainError(
-                f"initial coin state not normalized: |alpha|^2+|beta|^2 = {norm}"
-            )
+        _check_state(self.alpha, self.beta)
 
     @property
     def omega(self) -> complex:

@@ -117,6 +117,20 @@ def test_series_rstar_table_equals_rstar(capsys, order):
     assert run(capsys, "series", "--what", "rstar", "--order", str(order)) == (0, want, "")
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 7, 8, 11, 1000, 1003])
+@pytest.mark.parametrize("what", ["sqrt1z4", "first-return"])
+def test_series_table_equals_fraction_series(capsys, what, order):
+    if what == "sqrt1z4":
+        rows = enumerate(series.sqrt1z4_series(order))
+    else:
+        rows = enumerate(series.first_return_series(order))
+        next(rows)  # the table starts at n = 1
+    want = "n,numerator,denominator\n" + "".join(
+        f"{n},{v.numerator},{v.denominator}\n" for n, v in rows
+    )
+    assert run(capsys, "series", "--what", what, "--order", str(order)) == (0, want, "")
+
+
 def test_negative_order_is_usage_error(capsys):
     code, out, err = run(capsys, "series", "--what", "rstar", "--order", "-1")
     assert (code, out) == (2, "")

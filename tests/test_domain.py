@@ -1,5 +1,7 @@
 """One domain rule for the defect phase: every function that takes phi
-rejects anything outside [0, 1), NaN and +-inf included, with DomainError."""
+rejects anything outside [0, 1), NaN and +-inf included, with DomainError.
+Likewise one rule for the coin state: every function that takes (alpha, beta)
+rejects a non-finite or non-normalized state with DomainError."""
 
 import ast
 import math
@@ -37,6 +39,39 @@ PHI_TAKERS = {
 def test_phi_outside_domain_is_domain_error(name, phi):
     with pytest.raises(DomainError, match=r"phi must lie in \[0, 1\)"):
         PHI_TAKERS[name](phi)
+
+
+STATE_TAKERS = {
+    "WalkParams": lambda a, b: WalkParams(phi=0.3, alpha=a, beta=b),
+    "mu_inf_origin": lambda a, b: limits.mu_inf_origin(0.3, a, b),
+    "mu_inf": lambda a, b: limits.mu_inf(1, 0.3, a, b),
+    "total_point_mass": lambda a, b: limits.total_point_mass(0.3, a, b),
+    "asymptotic_psi_origin": lambda a, b: limits.asymptotic_psi_origin(3, 0.3, a, b),
+    "cgmv_limit_origin": lambda a, b: limits.cgmv_limit_origin(0.3, a, b),
+    "residue_norms": lambda a, b: spectral.residue_norms(
+        spectral.singular_points(0.3), 0.3, a, b
+    ),
+    "residue_norms_origin": lambda a, b: spectral.residue_norms_origin(0.3, a, b),
+}
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (math.nan, 0.0),
+        (math.inf, 0.0),
+        (0.6, complex(0.0, -math.inf)),
+        (1e200, 0.0),  # its square overflows
+        (3.0, 4j),  # finite, norm 25
+        (0.0, 0.0),
+    ],
+)
+@pytest.mark.parametrize("name", sorted(STATE_TAKERS))
+def test_state_outside_domain_is_domain_error(name, alpha, beta):
+    # twice: a rejected state must not be remembered as accepted
+    for _ in range(2):
+        with pytest.raises(DomainError, match="initial coin state"):
+            STATE_TAKERS[name](alpha, beta)
 
 
 def test_no_assert_in_src():

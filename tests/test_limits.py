@@ -369,3 +369,33 @@ def test_closed_forms_match_two_branch_reference():
                 got = limits.asymptotic_psi_origin(n, phi, alpha, beta)
                 ref = _ref_asymptotic(n, phi, alpha, beta)
                 assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoized_table_matches_reference_interleaved(data):
+    # calls hop between up to 12 phi and 12 states, more than the table
+    # keeps, so a stale or evicted entry read for the wrong key fails
+    phis = data.draw(st.lists(_near_edge_phi(), min_size=1, max_size=12))
+    states = data.draw(st.lists(_coin_states(), min_size=1, max_size=12))
+    calls = data.draw(st.lists(
+        st.tuples(st.integers(-25, 25), st.integers(0, len(phis) - 1),
+                  st.integers(0, len(states) - 1)),
+        min_size=1, max_size=80))
+    for x, i, j in calls:
+        phi, (alpha, beta) = phis[i], states[j]
+        assert limits.mu_inf(x, phi, alpha, beta) == _ref_mu_inf(x, phi, alpha, beta)
+        assert limits.total_point_mass(phi, alpha, beta) == (
+            _ref_total_point_mass(phi, alpha, beta)
+        )
+
+
+def test_profile_builds_one_family_table():
+    p = WalkParams.preset(-1, 0.4)
+    limits._families.cache_clear()
+    for x in range(-20, 21):
+        limits.mu_inf(x, 0.4, p.alpha, p.beta)
+    limits.mu_inf_origin(0.4, p.alpha, p.beta)
+    limits.total_point_mass(0.4, p.alpha, p.beta)
+    info = limits._families.cache_info()
+    assert (info.misses, info.hits) == (1, 42)

@@ -234,6 +234,64 @@ def test_residue_sum_reconstructs_origin_limit():
             )
 
 
+def _ref_singular_points(phi):
+    # the per-point code spelled through the public functions of z: f, |L0|,
+    # lambda and dL0/dz each evaluated from z on its own
+    points = []
+    for name, sign, lo, hi in (("eps_plus", 1, 0.0, 0.75), ("eps_minus", -1, 0.25, 1.0)):
+        if not lo < phi < hi:
+            continue
+        eps = 2 * math.pi * phi + sign * math.pi / 4
+        den = math.sqrt(3 - 2 * SQRT2 * math.cos(eps))
+        c = math.sin(eps) / den
+        s = (math.cos(eps) - SQRT2) / den
+        for pm, cos_s, sin_s in (("+", c, s), ("-", -c, -s)):
+            theta = math.atan2(sin_s, cos_s)
+            z = cmath.exp(1j * theta)
+            assert abs(spectral.big_lambda0(z, phi)) <= 1e-10
+            points.append(spectral.SpectralPoint(
+                theta_s=theta, branch=f"{name}:{pm}",
+                lambda_sq=abs(spectral.lambda_tilde(z)) ** 2,
+                residue_prefactor=1 / abs(spectral.big_lambda0_deriv(z, phi)) ** 2))
+    return points
+
+
+def _ref_residue_norms(phi, alpha, beta):
+    w = cmath.exp(2j * math.pi * phi)
+    out = []
+    for pt in _ref_singular_points(phi):
+        g = w * spectral.f_tilde(pt.z) / SQRT2
+        n1, n2 = alpha * (1 - g) - beta * g, alpha * g + beta * (1 - g)
+        out.append((abs(n1) ** 2 + abs(n2) ** 2) * pt.residue_prefactor)
+    return out
+
+
+_VERIFY_GRID = [i / 11 for i in range(1, 11)]
+_SEEDED_PHIS = [float(p) for p in np.random.default_rng(29).random(50)]
+
+
+@pytest.mark.parametrize("phi", _VERIFY_GRID + _SEEDED_PHIS)
+def test_singular_points_equal_public_helper_spelling(phi):
+    got, ref = spectral.singular_points(phi), _ref_singular_points(phi)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.theta_s == r.theta_s
+        assert g.branch == r.branch
+        assert g.lambda_sq == r.lambda_sq
+        assert g.residue_prefactor == r.residue_prefactor
+
+
+def test_residue_norms_equal_public_helper_spelling():
+    rng = np.random.default_rng(31)
+    for phi in _VERIFY_GRID + _SEEDED_PHIS:
+        v = rng.normal(size=4)
+        a, b = complex(v[0], v[1]), complex(v[2], v[3])
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        for alpha, beta in ((a / norm, b / norm), (0.6 + 0j, 0.8j)):
+            got = spectral.residue_norms(spectral.singular_points(phi), phi, alpha, beta)
+            assert got == _ref_residue_norms(phi, alpha, beta)
+
+
 def test_xi_tilde0_series_structure():
     for N in (16, 17, 600):
         co = spectral.xi_tilde0_series(0.3, N)
