@@ -27,7 +27,6 @@ from .spectral import (
     SpectralPoint,
     big_lambda0,
     f_tilde,
-    lambda_tilde,
     residue_norms,
     residue_norms_origin,
     singular_points,
@@ -58,7 +57,6 @@ __all__ = [
     "evolve",
     "f_tilde",
     "first_return_series",
-    "lambda_tilde",
     "measure",
     "mu_inf",
     "mu_inf_origin",

@@ -191,12 +191,9 @@ class StationaryComparison:
     """Pointwise ratio of the time-averaged limit measure to the stationary
     measure for one branch state, over |x| <= xmax."""
 
-    phi: float
-    branch: str
     ratio: float
     c_sq: float
     max_deviation: float
-    constant: bool
 
 
 def compare_stationary_timeavg(
@@ -229,14 +226,7 @@ def compare_stationary_timeavg(
     max_dev = float(np.max(np.abs(ratios - ratio)))
     w = next(w for e, w, _ in _families(phi, alpha, beta) if e == eta)
     c_sq = 2 * (1 - w) ** 2 / (3 - 2 * w) ** 2
-    return StationaryComparison(
-        phi=phi,
-        branch=branch,
-        ratio=ratio,
-        c_sq=c_sq,
-        max_deviation=max_dev,
-        constant=max_dev <= 1e-12,
-    )
+    return StationaryComparison(ratio=ratio, c_sq=c_sq, max_deviation=max_dev)
 
 
 def cgmv_limit_origin(phi: float, alpha: complex, beta: complex) -> float:

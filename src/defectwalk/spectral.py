@@ -4,17 +4,19 @@ The at-origin resolvent of the walk is a 2x2 matrix series whose denominator
 L0(z) = 1 - sqrt(2) w f(z) + w^2 f(z)^2  (w = exp(2*pi*i*phi)) has simple
 zeros on the unit circle.  Those zeros carry the point-mass (localized) part
 of the time-averaged measure: each contributes the squared norm of the
-corresponding residue.  This module computes f(z), the decay factor
-lambda(z), the singular points in closed form, the numeric residue norms
-at the origin, and the power series of the at-origin resolvent, which checks
-the renewal convolution of ``series`` coefficient by coefficient.
+corresponding residue.  This module computes f(z), L0(z), the singular
+points in closed form with their decay factors and residue prefactors, the
+numeric residue norms at the origin, and the power series of the at-origin
+resolvent, which checks the renewal convolution of ``series`` coefficient by
+coefficient.
 
-Each singular-point quantity has one route: ``singular_points`` evaluates
-dL0/dz once per point, as ``residue_prefactor`` = 1/|dL0/dz|^2, and
-``residue_norms`` reads it from the points.  Each formula is written once, in
-a private helper of (w, f, sqrt(z^4 + 1)) that the public function of z calls
-too; ``singular_points`` computes w once per call and sqrt(z^4 + 1) and f(z)
-once per point, and forms the gate's |L0|, lambda and dL0/dz from them.
+Each singular-point quantity has one route and one spelling:
+``singular_points`` computes w once per call and sqrt(z^4 + 1) and f(z) once
+per point, and forms the gate's |L0|, lambda and dL0/dz from them, as
+``lambda_sq`` and ``residue_prefactor`` = 1/|dL0/dz|^2; ``residue_norms``
+reads the prefactor from the points.  The private helpers ``_phase``,
+``_root``, ``_f`` and ``_l0`` are the formulas that ``f_tilde``,
+``big_lambda0`` and ``xi_tilde0_series`` share with it.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ class SpectralPoint:
 
     ``branch`` is "eps_plus:+", "eps_plus:-", "eps_minus:+" or "eps_minus:-"
     (root family and sign of the antipodal pair).  ``lambda_sq`` is the
-    geometric decay factor |lambda(e^{i theta_s})|^2 of the measure away from
-    the origin; ``residue_prefactor`` is |Res(1/L0)|^2 = 1/|dL0/dz|^2 at the
-    point.
+    geometric decay factor |lambda(e^{i theta_s})|^2, lambda(z) =
+    z / (f(z) - sqrt(2)), of the measure away from the origin;
+    ``residue_prefactor`` is |Res(1/L0)|^2 = 1/|dL0/dz|^2 at the point.
     """
 
     theta_s: float
@@ -68,30 +70,9 @@ def _f(z: complex, root: complex) -> complex:
     return (z * z + 1 - root) / SQRT2
 
 
-def _f_deriv(z: complex, root: complex) -> complex:
-    """f'(z) from z and root = sqrt(z^4 + 1)."""
-    return SQRT2 * z * (1 - z * z / root)
-
-
-def _lambda(z: complex, f: complex) -> complex:
-    """lambda(z) from z and f = f(z)."""
-    d = f - SQRT2
-    if not abs(d) > 0.1:
-        raise DomainError(
-            f"f(z) approached sqrt(2) inside the closed disk: |f - sqrt(2)| = "
-            f"{abs(d)} at z = {z}"
-        )
-    return complex(z) / d
-
-
 def _l0(w: complex, f: complex) -> complex:
     """L0 from w = exp(2*pi*i*phi) and f = f(z)."""
     return 1 - SQRT2 * w * f + (w * f) ** 2
-
-
-def _l0_deriv(w: complex, f: complex, f_deriv: complex) -> complex:
-    """dL0/dz from w, f = f(z) and f_deriv = f'(z)."""
-    return (-SQRT2 * w + 2 * w * w * f) * f_deriv
 
 
 def f_tilde(z: complex) -> complex:
@@ -104,18 +85,6 @@ def f_tilde(z: complex) -> complex:
     return _f(z, _root(z))
 
 
-def f_tilde_deriv(z: complex) -> complex:
-    """d f / dz = sqrt(2) z (1 - z^2 / sqrt(z^4 + 1))."""
-    z = complex(z)
-    return _f_deriv(z, _root(z))
-
-
-def lambda_tilde(z: complex) -> complex:
-    """lambda(z) = z / (f(z) - sqrt(2)); |f| <= 1 on the closed disk keeps the
-    denominator away from zero."""
-    return _lambda(z, f_tilde(z))
-
-
 def big_lambda0(z: complex, phi: float) -> complex:
     """L0(z) = 1 - sqrt(2) w f(z) + w^2 f(z)^2 with w = exp(2*pi*i*phi).
 
@@ -124,12 +93,6 @@ def big_lambda0(z: complex, phi: float) -> complex:
     """
     _check_phi(phi)
     return _l0(_phase(phi), f_tilde(z))
-
-
-def big_lambda0_deriv(z: complex, phi: float) -> complex:
-    """dL0/dz = (-sqrt(2) w + 2 w^2 f(z)) f'(z)."""
-    _check_phi(phi)
-    return _l0_deriv(_phase(phi), f_tilde(z), f_tilde_deriv(z))
 
 
 def singular_points(phi: float) -> list:
@@ -163,18 +126,14 @@ def singular_points(phi: float) -> list:
                     f"singular point failed to converge: |L0| = {resid:.3e} "
                     f"at phi={phi}, branch {name}{pm}"
                 )
+            # dL0/dz = (-sqrt(2) w + 2 w^2 f) f'(z), where
+            # f'(z) = sqrt(2) z (1 - z^2 / sqrt(z^4 + 1))
+            dl0 = (-SQRT2 * w + 2 * w * w * f) * (SQRT2 * z * (1 - z * z / root))
             points.append(SpectralPoint(
                 theta_s=theta, branch=f"{name}:{pm}",
-                lambda_sq=abs(_lambda(z, f)) ** 2,
-                residue_prefactor=1 / abs(_l0_deriv(w, f, _f_deriv(z, root))) ** 2))
+                lambda_sq=abs(z / (f - SQRT2)) ** 2,
+                residue_prefactor=1 / abs(dl0) ** 2))
     return points
-
-
-def _origin_numerator(z: complex, w: complex, alpha: complex, beta: complex):
-    """Numerator vector of the at-origin resolvent applied to the coin state,
-    with w = exp(2*pi*i*phi)."""
-    g = w * f_tilde(z) / SQRT2
-    return (alpha * (1 - g) - beta * g, alpha * g + beta * (1 - g))
 
 
 def residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> list:
@@ -193,7 +152,9 @@ def residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> li
     w = _phase(phi)
     out = []
     for pt in points:
-        n1, n2 = _origin_numerator(pt.z, w, alpha, beta)
+        # numerator vector of the at-origin resolvent applied to the state
+        g = w * f_tilde(pt.z) / SQRT2
+        n1, n2 = alpha * (1 - g) - beta * g, alpha * g + beta * (1 - g)
         out.append((abs(n1) ** 2 + abs(n2) ** 2) * pt.residue_prefactor)
     return out
 

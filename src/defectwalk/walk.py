@@ -64,7 +64,13 @@ def _norm_sq(alpha: complex, beta: complex) -> float:
 def _check_state(alpha: complex, beta: complex) -> None:
     """The one domain rule for a coin state (alpha, beta): both parts finite
     and the state normalized (``_is_normalized``)."""
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+    try:
+        finite = cmath.isfinite(alpha) and cmath.isfinite(beta)
+    except OverflowError:  # a Python int too large for a float
+        raise DomainError(
+            "initial coin state must be finite: an amplitude overflows a float"
+        ) from None
+    if not finite:
         raise DomainError(
             f"initial coin state must be finite, got ({alpha}, {beta})"
         )

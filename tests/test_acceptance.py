@@ -191,7 +191,8 @@ def test_07_stationary_measure_coincidence():
             if branch == limits.BRANCH_PLUS and not 0.25 < phi:
                 continue
             rep = limits.compare_stationary_timeavg(phi, branch, xmax=20)
-            ok = ok and rep.constant and abs(rep.ratio - rep.c_sq) <= 1e-12
+            ok = (ok and rep.max_deviation <= 1e-12
+                  and abs(rep.ratio - rep.c_sq) <= 1e-12)
             details.append(f"{phi}/{branch}: dev={rep.max_deviation:.1e}")
     _report(
         "time-averaged limit is the tuned stationary measure",

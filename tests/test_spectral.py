@@ -33,6 +33,11 @@ def _phi_tilde(theta):
     return math.atan2(sgn * math.sqrt(max(band, 0.0)), SQRT2 * math.cos(theta))
 
 
+def _lambda(z):
+    # lambda(z) = z / (f(z) - sqrt(2)), the decay factor of the measure
+    return z / (spectral.f_tilde(z) - SQRT2)
+
+
 def _disk_samples(count=100, seed=3):
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0, 1, count))
@@ -65,7 +70,7 @@ def test_f_tilde_unit_modulus_on_band():
 
 
 def test_lambda_tilde_values():
-    val = spectral.lambda_tilde(1j)
+    val = _lambda(1j)
     assert val == pytest.approx(1j / (-1 - SQRT2))
     assert abs(val) ** 2 == pytest.approx(3 - 2 * SQRT2, abs=1e-12)
 
@@ -73,7 +78,7 @@ def test_lambda_tilde_values():
 def test_lambda_circle_formula_band_boundary():
     theta = math.pi / 4  # cos^2 = 1/2
     assert _lambda_sq_circle(theta) == pytest.approx(1.0, abs=1e-12)
-    q = abs(spectral.lambda_tilde(cmath.exp(1j * theta))) ** 2
+    q = abs(_lambda(cmath.exp(1j * theta))) ** 2
     assert q == pytest.approx(1.0, abs=1e-12)
 
 
@@ -81,14 +86,8 @@ def test_lambda_circle_matches_quotient():
     for theta in np.linspace(-np.pi, np.pi, 101):
         if 2 * math.sin(theta) ** 2 < 1 + 1e-6:
             continue
-        q = abs(spectral.lambda_tilde(cmath.exp(1j * theta))) ** 2
+        q = abs(_lambda(cmath.exp(1j * theta))) ** 2
         assert q == pytest.approx(_lambda_sq_circle(theta), abs=1e-12)
-
-
-@pytest.mark.parametrize("func", [spectral.lambda_tilde])
-def test_band_functions_reject_nan(func):
-    with pytest.raises(DomainError):
-        func(math.nan)
 
 
 def test_big_lambda0_base_values():
@@ -235,8 +234,9 @@ def test_residue_sum_reconstructs_origin_limit():
 
 
 def _ref_singular_points(phi):
-    # the per-point code spelled through the public functions of z: f, |L0|,
-    # lambda and dL0/dz each evaluated from z on its own
+    # the per-point code spelled out here from the formulas of the docstrings,
+    # sharing no helper with the package: f, |L0|, lambda and dL0/dz from z
+    w = cmath.exp(2j * math.pi * phi)
     points = []
     for name, sign, lo, hi in (("eps_plus", 1, 0.0, 0.75), ("eps_minus", -1, 0.25, 1.0)):
         if not lo < phi < hi:
@@ -248,11 +248,15 @@ def _ref_singular_points(phi):
         for pm, cos_s, sin_s in (("+", c, s), ("-", -c, -s)):
             theta = math.atan2(sin_s, cos_s)
             z = cmath.exp(1j * theta)
-            assert abs(spectral.big_lambda0(z, phi)) <= 1e-10
+            root = cmath.sqrt(z ** 4 + 1)
+            f = (z * z + 1 - root) / SQRT2
+            assert abs(1 - SQRT2 * w * f + (w * f) ** 2) <= 1e-10
+            f_deriv = SQRT2 * z * (1 - z * z / root)
+            dl0 = (-SQRT2 * w + 2 * w * w * f) * f_deriv
             points.append(spectral.SpectralPoint(
                 theta_s=theta, branch=f"{name}:{pm}",
-                lambda_sq=abs(spectral.lambda_tilde(z)) ** 2,
-                residue_prefactor=1 / abs(spectral.big_lambda0_deriv(z, phi)) ** 2))
+                lambda_sq=abs(z / (f - SQRT2)) ** 2,
+                residue_prefactor=1 / abs(dl0) ** 2))
     return points
 
 
