@@ -33,7 +33,6 @@ from .spectral import (
     xi_tilde0_series,
 )
 from .limits import (
-    StationaryComparison,
     asymptotic_psi_origin,
     cgmv_limit_origin,
     compare_stationary_timeavg,
@@ -47,7 +46,6 @@ __all__ = [
     "DomainError",
     "Measure",
     "SpectralPoint",
-    "StationaryComparison",
     "WalkParams",
     "WalkState",
     "asymptotic_psi_origin",

@@ -499,7 +499,33 @@ def test_negative_xmax_is_usage_error(capsys, argv):
     assert "--xmax" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("limit", "--phi", "0.5", "--xmax", "0", "--alpha", "1", "--beta", "0,0"),
+         "alpha must be 're,im'"),
+        (("limit", "--phi", "0.5", "--xmax", "0", "--alpha", "x,0", "--beta", "0,0"),
+         "cannot parse alpha"),
+        (("limit", "--phi", "0.5", "--xmax", "0", "--alpha", "1,0"),
+         "must be given together"),
+        (("simulate", "--phi", "0.5", "--steps", "-1"), "n must be >= 0, got -1"),
+        (("stationary", "--phi", "0.1", "--branch", "plus", "--xmax", "1"),
+         "does not decay"),
+        (("stationary", "--phi", "0.9", "--branch", "minus", "--xmax", "1"),
+         "does not decay"),
+        # rate ** 500 overflowed here, which exited 3 like a failed check
+        (("stationary", "--phi", "0.9", "--branch", "minus", "--xmax", "500"),
+         "does not decay"),
+    ],
+)
+def test_domain_error_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "1e308"])
 def test_stationary_alpha_mod2_outside_domain_is_usage_error(capsys, value):
     code, out, err = run(
         capsys, "stationary", "--phi", "1/2", "--branch", "plus", "--xmax", "1",

@@ -4,6 +4,8 @@ Likewise one rule for the coin state: every function that takes (alpha, beta)
 rejects a non-finite or non-normalized state with DomainError."""
 
 import ast
+import importlib
+import inspect
 import math
 from pathlib import Path
 
@@ -118,3 +120,21 @@ def test_public_names_have_a_non_test_caller():
                 referenced.add(node.name)
     assert bench
     assert {n for n in public if n not in referenced} == PUBLIC_WITHOUT_CALLER
+
+
+def test_perfbench_functions_resolve():
+    # the harness traces each FUNCTIONS name as a public function of its
+    # layer module; a name that no longer resolves breaks its traced runs
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    functions = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["FUNCTIONS"]
+    )
+    assert functions
+    for name in functions:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"defectwalk.{layer}")
+        func = getattr(module, attr, None)
+        assert inspect.isfunction(func) and func.__module__ == module.__name__, name

@@ -104,7 +104,8 @@ def test_first_return_series_coefficients():
 def test_series_edge_orders():
     assert series.rstar_series(0) == (Fraction(0),)
     assert series.first_return_series(0) == (Fraction(0),)
-    for func in (series.rstar_series, series.first_return_series):
+    for func in (series.rstar_series, series.first_return_series,
+                 series.sqrt1z4_series):
         for N in (-1, -2):
             with pytest.raises(DomainError, match=f"got {N}$"):
                 func(N)

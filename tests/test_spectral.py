@@ -302,6 +302,8 @@ def test_xi_tilde0_series_structure():
         assert co.shape == (N + 1, 2, 2)
         assert np.allclose(co[0], np.eye(2), atol=1e-14)
         assert np.max(np.abs(co[1::2])) == 0.0
+    with pytest.raises(DomainError, match="N must be >= 0, got -1$"):
+        spectral.xi_tilde0_series(0.3, -1)
 
 
 def test_xi_tilde0_series_matches_renewal():

@@ -16,8 +16,9 @@ def test_params_validation():
         WalkParams(phi=0.5, alpha=1.0, beta=1.0)
     with pytest.raises(DomainError):
         WalkParams(phi=1.2, alpha=1.0, beta=0.0)
-    with pytest.raises(DomainError):
-        WalkParams.preset(2, 0.3)
+    for eta in (2, 0):
+        with pytest.raises(DomainError, match=f"got {eta}$"):
+            WalkParams.preset(eta, 0.3)
     for alpha, beta in ((math.nan, 0.0), (1.0, complex(0, math.inf))):
         with pytest.raises(DomainError):
             WalkParams(phi=0.5, alpha=alpha, beta=beta)
