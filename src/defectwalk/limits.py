@@ -40,6 +40,12 @@ from .walk import SQRT2, DomainError, _check_phi, _check_state
 _FAMILIES = {-1: (0.0, 0.75), 1: (0.25, 1.0)}
 
 
+def _in_family(phi: float, eta: int) -> bool:
+    """Whether phi lies in family eta's open interval, where it carries mass."""
+    lo, hi = _FAMILIES[eta]
+    return lo < phi < hi
+
+
 def _angle(phi: float, eta: int) -> float:
     """Angle a of family eta: sqrt(2)*cos(a) = C + eta*S, sqrt(2)*sin(a) = S - eta*C."""
     return 2 * math.pi * phi - eta * math.pi / 4
@@ -70,10 +76,10 @@ def _families(phi: float, alpha: complex, beta: complex) -> tuple:
     """
     _check_state(alpha, beta)
     table = []
-    for eta, (lo, hi) in _FAMILIES.items():
+    for eta in _FAMILIES:
         w = SQRT2 * math.cos(_angle(phi, eta))
         mu = 0.0
-        if lo < phi < hi:
+        if _in_family(phi, eta):
             mu = _family_weight(w) * abs(alpha - eta * 1j * beta) ** 2
         table.append((eta, w, mu))
     return tuple(table)
@@ -164,16 +170,21 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
 
     mu(0) = 2|alpha|^2; away from the origin the profile decays geometrically
     with rate 1/(3 - 2C -+ 2S) and carries the prefactor 2 - C -+ S
-    (upper signs for the beta = i alpha branch).  A rate that is not below 1
-    is a DomainError: in exact arithmetic the profile does not decay for plus
-    on phi <= 1/4, for minus on phi >= 3/4, or at phi = 0.  With the rate
-    below 1 the largest value is 2|alpha|^2 at the origin, so that must be
-    finite.
+    (upper signs for the beta = i alpha branch).  In exact arithmetic the
+    rate is below 1 exactly on the branch's family interval: (1/4, 1) for
+    plus, (0, 3/4) for minus.  A phi outside it is a DomainError, and so is
+    a rate that rounds to 1 or above inside it (minus at phi below ~8.8e-18),
+    so the interval ends, where C or S rounds to a few 1e-16, cannot pass
+    for decaying.  With the rate below 1 the largest value is 2|alpha|^2 at
+    the origin, so that must be finite.
     """
     _check_phi(phi)
     if not 0 < 2 * alpha_mod2 < math.inf:
         raise DomainError(f"2*alpha_mod2 must be finite and > 0, got {alpha_mod2}")
     eta = _branch_eta(branch)
+    if not _in_family(phi, eta):
+        raise DomainError(f"the {branch} profile does not decay at phi={phi}: "
+                          f"phi is outside the branch's interval {_FAMILIES[eta]}")
     C = math.cos(2 * math.pi * phi)
     S = math.sin(2 * math.pi * phi)
     gamma = 2 - C - eta * S
@@ -193,12 +204,18 @@ def compare_stationary_timeavg(phi: float, branch: str) -> float:
     limit measure is the stationary profile of |alpha|^2 = 1/2, whose origin
     value is 1, scaled by the limit's own origin value.  Returns the max over
     |x| <= 20 of |mu_inf(x) - mu_inf(0) * stationary_measure(x)|.
+
+    The limit carries no mass outside the branch's interval, nor for minus
+    at phi up to ~2.7e-17, where ``_family_weight`` drops the family.  Both
+    sides are then 0 at every site and the gap says nothing, so a zero
+    origin value is a DomainError, as is a profile that
+    ``stationary_measure`` rejects.
     """
     _check_phi(phi)
     eta = _branch_eta(branch)
-    lo, hi = _FAMILIES[eta]
-    if not lo < phi < hi:
-        raise DomainError(f"branch {branch!r} degenerates (zero weight) at phi={phi}")
+    degenerate = DomainError(f"branch {branch!r} degenerates (zero weight) at phi={phi}")
+    if not _in_family(phi, eta):
+        raise degenerate
     alpha, beta = 1 / SQRT2, eta * 1j / SQRT2
     origin = mu_inf(0, phi, alpha, beta)
     gaps = [
@@ -206,6 +223,8 @@ def compare_stationary_timeavg(phi: float, branch: str) -> float:
             - origin * stationary_measure(x, phi, 0.5, branch))
         for x in range(-20, 21)
     ]
+    if origin == 0.0:
+        raise degenerate
     # np.max, unlike max(), propagates a NaN gap
     return float(np.max(gaps))
 

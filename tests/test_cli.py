@@ -516,6 +516,9 @@ def test_negative_xmax_is_usage_error(capsys, argv):
         # rate ** 500 overflowed here, which exited 3 like a failed check
         (("stationary", "--phi", "0.9", "--branch", "minus", "--xmax", "500"),
          "does not decay"),
+        # the rate rounded to 1 - 4.4e-16 here and the profile was printed
+        (("stationary", "--phi", "0.75", "--branch", "minus", "--xmax", "3"),
+         "does not decay"),
     ],
 )
 def test_domain_error_is_usage_error(capsys, argv, message):

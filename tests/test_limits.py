@@ -213,7 +213,8 @@ def test_stationary_measure_examples():
 def test_stationary_measure_domain():
     # the rate 1/(3 - 2C -+ 2S) is 1 or above: the profile does not decay
     for phi, branch in ((0.0, "plus"), (0.0, "minus"), (0.1, "plus"),
-                        (0.25, "plus"), (0.9, "minus"), (1e-18, "minus")):
+                        (0.25, "plus"), (0.9, "minus"), (1e-18, "minus"),
+                        (0.75, "minus")):
         with pytest.raises(DomainError, match="does not decay"):
             limits.stationary_measure(0, phi, 0.5, branch)
     for alpha_mod2 in (-1.0, 0.0, math.nan, math.inf, -math.inf, 1e308):
@@ -251,6 +252,19 @@ def test_compare_stationary_degenerate_region():
     # inside the minus interval, but the rate rounds to 1
     with pytest.raises(DomainError, match="does not decay"):
         limits.compare_stationary_timeavg(1e-18, "minus")
+
+
+def test_compare_stationary_zero_origin_is_degenerate():
+    # the minus family's energy rounds to 1 and its weight is dropped, while
+    # the stationary rate still rounds below 1: both sides would be 0
+    for phi in (9e-18, 1e-17, 2.5e-17):
+        assert limits.mu_inf_origin(phi, 1 / SQRT2, -1j / SQRT2) == 0.0
+        with pytest.raises(DomainError, match="degenerates"):
+            limits.compare_stationary_timeavg(phi, "minus")
+    # from here on the weight is kept, and the gap compares nonzero values
+    for phi in (3.16e-17, 1e-16):
+        assert limits.mu_inf_origin(phi, 1 / SQRT2, -1j / SQRT2) > 0.0
+        assert limits.compare_stationary_timeavg(phi, "minus") <= 1e-12
 
 
 def test_cgmv_spelling_agrees_everywhere():

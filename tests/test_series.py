@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from defectwalk import series, walk
+from defectwalk import series, spectral, walk
 from defectwalk.walk import DomainError, WalkParams
 
 
@@ -67,6 +67,58 @@ def test_series_reciprocal_matches_loop_reference():
         assert len(got) == N + 1
         scale = np.maximum.accumulate(np.abs(ref))
         assert np.max(np.abs(got - ref) / scale) <= 1e-13
+
+
+def _full_product_newton(a):
+    # the reciprocal's Newton doubling as first written: each round forms the
+    # whole product a[:m2] * g[:m] and keeps its terms m .. m2 - 1
+    n = len(a)
+    g = np.zeros(n, dtype=complex)
+    g[:1] = 1.0
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        err = np.convolve(a[:m2], g[:m])[m:m2]
+        g[m:m2] = -np.convolve(g[: m2 - m], err)[: m2 - m]
+        m = m2
+    return g
+
+
+def _l0_series(phi, N):
+    # the at-origin L0 series that spectral.xi_tilde0_series inverts, in u = z^2
+    n = N // 2 + 1
+    s4 = np.zeros(n)
+    s4[::2] = [num / den for num, den in series._sqrt1z4_ratios(N)]
+    f = -s4 / math.sqrt(2)
+    f[0] += 1 / math.sqrt(2)
+    if n > 1:
+        f[1] += 1 / math.sqrt(2)
+    f = f.astype(complex)
+    w = spectral._phase(phi)
+    lam = -math.sqrt(2) * w * f + w * w * np.convolve(f, f)[:n]
+    lam[0] += 1.0
+    return lam
+
+
+def test_series_reciprocal_equals_full_product_newton():
+    # forming only the kept middle terms changes no bit of the reciprocal
+    inputs = []
+    for phi in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
+        omega = WalkParams(phi=phi, alpha=1.0, beta=0.0).omega
+        for N in (17, 120, 601, 2001):
+            c = omega * series._renewal_coefficients(N) / 2.0
+            for eta in (1, -1):
+                inputs.append(np.concatenate(([1.0], (1 - eta * 1j) * c)))
+            inputs.append(_l0_series(phi, 2 * N))
+    rng = np.random.default_rng(5)
+    for L in list(range(1, 72)) + [301, 601]:
+        a = 0.5 * (rng.normal(size=L) + 1j * rng.normal(size=L))
+        a[0] = 1.0
+        inputs.append(a)
+    for a in inputs:
+        want = _full_product_newton(a)
+        assert np.isfinite(want).all()
+        assert np.array_equal(series._series_reciprocal(a), want)
 
 
 def test_sqrt1z4_squares_back():
@@ -275,3 +327,49 @@ def test_psi_origin_matches_loop_reference():
             assert len(got) == nmax + 1
             worst = max(worst, float(np.max(np.abs(np.asarray(got) - np.asarray(ref)))))
     assert worst <= 1e-13
+
+
+def _clear_float_caches():
+    series._renewal_coefficients.cache_clear()
+    series._sqrt1z4_floats.cache_clear()
+
+
+def test_float_caches_are_read_only():
+    for cached in (series._renewal_coefficients, series._sqrt1z4_floats):
+        first = cached(40)[0]
+        with pytest.raises(ValueError):
+            cached(40)[0] = 0.0
+        assert cached(40)[0] == first
+
+
+def test_float_caches_equal_uncached_floats():
+    for n in (0, 1, 2, 3, 4, 7, 8, 301, 1200):
+        want = np.zeros(n)
+        want[:1] = -1.0
+        want[1::2] = [num / den for num, den in series._rstar_ratios(n // 2)]
+        assert np.array_equal(series._renewal_coefficients(n), want)
+        want = [num / den for num, den in series._sqrt1z4_ratios(n)]
+        assert series._sqrt1z4_floats(n).tolist() == want
+
+
+def test_results_do_not_depend_on_cache_order():
+    # more orders than the caches keep, so entries are evicted on the way
+    orders = [2001, 601, 300, 120, 33, 17, 9, 5, 2, 1, 0]
+    params = WalkParams(phi=0.3, alpha=0.6, beta=0.8j)
+
+    def results(sequence):
+        _clear_float_caches()
+        return {
+            n: (np.asarray(series.psi_origin_sequence(n, params)),
+                spectral.xi_tilde0_series(params.phi, 2 * n))
+            for n in sequence
+        }
+
+    fresh = {}
+    for n in orders:
+        fresh.update(results([n]))
+    for sequence in (orders, orders[::-1]):
+        got = results(sequence)
+        for n in orders:
+            assert np.array_equal(got[n][0], fresh[n][0])
+            assert np.array_equal(got[n][1], fresh[n][1])
