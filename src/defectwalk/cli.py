@@ -118,7 +118,7 @@ def _emit_table(header, sites, columns, out_path, extra=()):
     _emit([header, *rows, *extra], out_path)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and kept for the process.
 

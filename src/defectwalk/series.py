@@ -12,17 +12,10 @@ Coefficients are built as integer ratios and rounded once, by int / int
 true division, where floats are needed; the renewal equation (and the
 resolvent series in ``spectral``) is solved by ``_series_reciprocal``, a
 Newton-doubling power-series reciprocal in O(log N) NumPy convolutions.
-
-The rounded floats depend on the order alone, so they are memoized:
-``_renewal_coefficients`` by nmax and ``_sqrt1z4_floats`` by N, the last
-eight orders each, as read-only arrays.  The integer ratios behind them are
-not kept (at N = 20000 they hold about 6 MB), and nothing that depends on
-phi or the coin state is: the reciprocal runs on every call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -46,17 +39,6 @@ def _sqrt1z4_ratios(N: int) -> list:
         num *= 3 - 2 * k
         den *= 2 * k
         out.append((num, den))
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _sqrt1z4_floats(N: int) -> np.ndarray:
-    """The ratios of ``_sqrt1z4_ratios(N)``, each rounded once to a float.
-
-    Memoized by N; the array is read-only, since every caller shares it.
-    """
-    out = np.array([num / den for num, den in _sqrt1z4_ratios(N)])
-    out.flags.writeable = False
     return out
 
 
@@ -226,19 +208,16 @@ def _rstar_ratios(mmax: int) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=8)
 def _renewal_coefficients(nmax: int) -> np.ndarray:
     """r*_{2a-1} for a = 1, ..., nmax as floats, from ``_rstar_ratios``.
 
     Only a = 1 and even a = 2m (r*_{4m-1}) are nonzero.  Each ratio is
     rounded once by int / int true division, which rounds correctly, so
-    every float equals ``float(rstar(2a - 1))``.  Memoized by nmax; the
-    array is read-only, since every caller shares it.
+    every float equals ``float(rstar(2a - 1))``.
     """
     r = np.zeros(nmax)
     r[:1] = -1.0
     r[1::2] = [num / den for num, den in _rstar_ratios(nmax // 2)]
-    r.flags.writeable = False
     return r
 
 

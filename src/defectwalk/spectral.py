@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _series_reciprocal, _sqrt1z4_floats
+from .series import _series_reciprocal, _sqrt1z4_ratios
 from .walk import SQRT2, DomainError, _check_phi, _check_state
 
 # root family -> (sign of pi/4 in its angle eps, open phi interval of its zeros)
@@ -180,7 +180,7 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
         raise DomainError(f"N must be >= 0, got {N}")
     n = N // 2 + 1  # coefficients of u^0 .. u^(N//2)
     s4 = np.zeros(n)
-    s4[::2] = _sqrt1z4_floats(N)
+    s4[::2] = [num / den for num, den in _sqrt1z4_ratios(N)]
     f = -s4 / SQRT2
     f[0] += 1 / SQRT2
     if n > 1:

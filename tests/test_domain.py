@@ -88,50 +88,6 @@ def test_no_assert_in_src():
     assert found == []
 
 
-def _is_functools(node, name):
-    return (isinstance(node, ast.Name) and node.id == name) or (
-        isinstance(node, ast.Attribute) and node.attr == name
-        and isinstance(node.value, ast.Name) and node.value.id == "functools"
-    )
-
-
-def _unbounded_memos(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for dec in node.decorator_list:
-                if _is_functools(dec, "cache"):
-                    yield dec
-        if isinstance(node, ast.Call) and _is_functools(node.func, "lru_cache"):
-            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
-            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
-                yield node
-
-
-def test_no_unbounded_memo_in_src():
-    # every memo is an lru_cache with a finite maxsize, so none grows with
-    # the number of distinct inputs it has seen
-    src = Path(limits.__file__).parent
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
-        for node in _unbounded_memos(ast.parse(path.read_text()))
-    ]
-    assert found == []
-
-
-def test_unbounded_memo_lint_catches_each_spelling():
-    for code in ("@functools.cache\ndef f(x): pass",
-                 "@cache\ndef f(x): pass",
-                 "@functools.lru_cache(maxsize=None)\ndef f(x): pass",
-                 "@lru_cache(None)\ndef f(x): pass",
-                 "g = functools.lru_cache(maxsize=None)(f)"):
-        assert len(list(_unbounded_memos(ast.parse(code)))) == 1, code
-    for code in ("@functools.lru_cache(maxsize=8)\ndef f(x): pass",
-                 "@functools.lru_cache\ndef f(x): pass",
-                 "cache = {}"):
-        assert list(_unbounded_memos(ast.parse(code))) == [], code
-
-
 # public names with no caller outside the tests, kept on purpose
 PUBLIC_WITHOUT_CALLER = {
     # documented in the README API; ROADMAP item 5 leaves its user open

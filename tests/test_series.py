@@ -328,48 +328,3 @@ def test_psi_origin_matches_loop_reference():
             worst = max(worst, float(np.max(np.abs(np.asarray(got) - np.asarray(ref)))))
     assert worst <= 1e-13
 
-
-def _clear_float_caches():
-    series._renewal_coefficients.cache_clear()
-    series._sqrt1z4_floats.cache_clear()
-
-
-def test_float_caches_are_read_only():
-    for cached in (series._renewal_coefficients, series._sqrt1z4_floats):
-        first = cached(40)[0]
-        with pytest.raises(ValueError):
-            cached(40)[0] = 0.0
-        assert cached(40)[0] == first
-
-
-def test_float_caches_equal_uncached_floats():
-    for n in (0, 1, 2, 3, 4, 7, 8, 301, 1200):
-        want = np.zeros(n)
-        want[:1] = -1.0
-        want[1::2] = [num / den for num, den in series._rstar_ratios(n // 2)]
-        assert np.array_equal(series._renewal_coefficients(n), want)
-        want = [num / den for num, den in series._sqrt1z4_ratios(n)]
-        assert series._sqrt1z4_floats(n).tolist() == want
-
-
-def test_results_do_not_depend_on_cache_order():
-    # more orders than the caches keep, so entries are evicted on the way
-    orders = [2001, 601, 300, 120, 33, 17, 9, 5, 2, 1, 0]
-    params = WalkParams(phi=0.3, alpha=0.6, beta=0.8j)
-
-    def results(sequence):
-        _clear_float_caches()
-        return {
-            n: (np.asarray(series.psi_origin_sequence(n, params)),
-                spectral.xi_tilde0_series(params.phi, 2 * n))
-            for n in sequence
-        }
-
-    fresh = {}
-    for n in orders:
-        fresh.update(results([n]))
-    for sequence in (orders, orders[::-1]):
-        got = results(sequence)
-        for n in orders:
-            assert np.array_equal(got[n][0], fresh[n][0])
-            assert np.array_equal(got[n][1], fresh[n][1])
