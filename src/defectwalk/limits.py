@@ -20,7 +20,8 @@ function still checks phi on every call.
 ``cgmv_limit_origin`` and ``stationary_measure`` do not read the table: they
 spell the two energies inline as C +- S.  The CMV-equality check compares the
 first with ``mu_inf_origin``; ``compare_stationary_timeavg`` measures the one
-gap between the second, scaled by the limit's origin value, and ``mu_inf``.
+gap between the second, scaled by the limit's origin value, and ``mu_inf``,
+relative to that origin value.
 Each stays a comparison of two independent spellings rather than of one
 formula with itself.
 """
@@ -203,7 +204,10 @@ def compare_stationary_timeavg(phi: float, branch: str) -> float:
     For the branch's own coin state (beta = +-i alpha, |alpha|^2 = 1/2) the
     limit measure is the stationary profile of |alpha|^2 = 1/2, whose origin
     value is 1, scaled by the limit's own origin value.  Returns the max over
-    |x| <= 20 of |mu_inf(x) - mu_inf(0) * stationary_measure(x)|.
+    |x| <= 20 of |mu_inf(x) - mu_inf(0) * stationary_measure(x)|, divided by
+    mu_inf(0): the gap relative to the origin value, which is the largest
+    value of both sides.  An absolute gap would say nothing where mu_inf(0)
+    is tiny, as for minus at small phi, where it is about 79 phi^2.
 
     The limit carries no mass outside the branch's interval, nor for minus
     at phi up to ~2.7e-17, where ``_family_weight`` drops the family.  Both
@@ -226,7 +230,7 @@ def compare_stationary_timeavg(phi: float, branch: str) -> float:
     if origin == 0.0:
         raise degenerate
     # np.max, unlike max(), propagates a NaN gap
-    return float(np.max(gaps))
+    return float(np.max(gaps)) / origin
 
 
 def cgmv_limit_origin(phi: float, alpha: complex, beta: complex) -> float:

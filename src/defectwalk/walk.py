@@ -10,14 +10,18 @@ instantaneous measures, and time-averaged measures.
 The kernel and ``time_average`` reproduce a ``step`` loop bit for bit while
 doing less work per step.  A site with x + t odd holds an exact zero at time
 t (the walker moves one site per step), so the kernel stores only the sites
-with x + t even, in compact columns, and never computes the zeros.  For a
-real divisor s, NumPy's complex division computes each part as
-(re + im*0) * fl(1/s), so the kernel multiplies the float64 view of its
-buffers by ``_INV_SQRT2`` instead; only the sign of a zero can differ, and
-no measure sees it.  ``time_average`` squares and adds the measures of many
-steps at once, but still adds them into the running sum one time step after
-another, so every sum is formed in the same order; the skipped sites would
-only have added +0.0 to a nonnegative sum, which changes nothing.
+with x + t even, in compact columns, and never computes the zeros.  One
+buffer holds the even times and one the odd times, so each pass of its loop
+makes two half-steps whose offsets are fixed, and only the first applies the
+defect phase.  For a real divisor s, NumPy's complex division computes each
+part as (re + im*0) * fl(1/s), so the kernel multiplies the float64 view of
+its buffers by ``_INV_SQRT2`` instead; only the sign of a zero can differ,
+and no measure sees it.  ``time_average`` squares and adds the measures of
+many steps at once, and adds a block of them into each running sum with one
+``np.add.accumulate``, which forms out[i] = out[i-1] + in[i] one time step
+after another, so every sum is formed in the same order as in the loop; the
+skipped sites would only have added +0.0 to a nonnegative sum, which changes
+nothing.
 """
 
 from __future__ import annotations
@@ -182,20 +186,22 @@ def _light_cone(params: WalkParams, n: int, xmax: int):
     """Yield the state at times t = 0 .. n on the window |x| <= xmax.
 
     Only the occupied sublattice is stored: at time t the sites with x + t
-    even, site x in compact column ``h + x // 2`` of two half-width buffers
-    that swap every step, so a buffer always holds one parity.  From an even
-    time left-movers land one column left and right-movers stay in theirs;
-    from an odd time left-movers stay and right-movers land one column
-    right.  The origin is occupied only at even times, so only the steps from
-    them apply the defect phase.  Step t reads only |x| <= min(t-1,
-    xmax+n-t+1): a site farther out can no longer reach the window by time
-    n.  A column beyond |x| = t has never been written, so it holds the zero
-    the support needs.
+    even, site x in compact column ``h + x // 2`` of one of two half-width
+    buffers, ``even`` for the even times and ``odd`` for the odd ones.  Each
+    pass of the loop makes two half-steps with fixed offsets.  From an even
+    time left-movers land one column left, right-movers stay in theirs, and
+    the defect phase is applied, since the origin is occupied only at even
+    times; from an odd time left-movers stay and right-movers land one
+    column right.  When n is odd the last pass stops after its first half.
+    Step t reads only |x| <= min(t-1, xmax+n-t+1): a site farther out can no
+    longer reach the window by time n.  A column beyond |x| = t has never
+    been written, so it holds the zero the support needs.
 
     Each item is a (2, xmax+1) view, rows (left, right), of the compact
-    columns ``h - (xmax+1)//2 .. h + xmax//2``; a later step overwrites it.
-    At time t they hold the sites x = 2j + t % 2: every window site with
-    x + t even and, when xmax + t is odd, one site at |x| = xmax + 1.
+    columns ``h - (xmax+1)//2 .. h + xmax//2`` of the buffer of its parity;
+    the step two later overwrites it.  At time t they hold the sites
+    x = 2j + t % 2: every window site with x + t even and, when xmax + t is
+    odd, one site at |x| = xmax + 1.
 
     The arithmetic is that of ``step`` in the same order, on float64 views of
     the buffers: the real and imaginary parts are added and subtracted
@@ -207,32 +213,42 @@ def _light_cone(params: WalkParams, n: int, xmax: int):
     """
     c = max(n, xmax)  # the sites stored lie in |x| <= c
     h = (c + 1) // 2  # compact column of the origin
-    cur = np.zeros((2, h + c // 2 + 1), dtype=complex)
-    nxt = np.zeros_like(cur)
-    cur[:, h] = params.alpha, params.beta
-    (cur_l, cur_r), (nxt_l, nxt_r) = cur.view(np.float64), nxt.view(np.float64)
+    even = np.zeros((2, h + c // 2 + 1), dtype=complex)
+    odd = np.zeros_like(even)
+    even[:, h] = params.alpha, params.beta
+    (e_l, e_r), (o_l, o_r) = even.view(np.float64), odd.view(np.float64)
     omega = params.omega
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     lo_w, hi_w = h - (xmax + 1) // 2, h + xmax // 2 + 1  # window columns
-    wins = cur[:, lo_w:hi_w], nxt[:, lo_w:hi_w]  # buffer t % 2 holds time t
-    yield wins[0]
-    for t in range(1, n + 1):
-        p = (t - 1) % 2  # parity of the time stepped from
+    even_win, odd_win = even[:, lo_w:hi_w], odd[:, lo_w:hi_w]
+    yield even_win
+    for t in range(1, n + 1, 2):  # t odd: steps t (from even) and t + 1
         r = min(t - 1, xmax + n - t + 1)
-        lo, hi = 2 * (h - (r + p) // 2), 2 * (h + (r - p) // 2 + 1)
-        ell = cur_l[lo:hi]
-        arr = cur_r[lo:hi]
-        a = nxt_l[lo - 2 + 2 * p : hi - 2 + 2 * p]  # left-movers, x-1
-        b = nxt_r[lo + 2 * p : hi + 2 * p]  # right-movers, x+1
-        np.add(ell, arr, out=a)
-        np.multiply(a, _INV_SQRT2, out=a)
-        np.subtract(ell, arr, out=b)
-        np.multiply(b, _INV_SQRT2, out=b)
-        if not p:  # the origin was occupied
-            nxt[0, h - 1] *= omega
-            nxt[1, h] *= omega
-        cur, nxt = nxt, cur
-        cur_l, cur_r, nxt_l, nxt_r = nxt_l, nxt_r, cur_l, cur_r
-        yield wins[t % 2]
+        lo, hi = 2 * (h - r // 2), 2 * (h + r // 2 + 1)
+        ell = e_l[lo:hi]
+        arr = e_r[lo:hi]
+        a = o_l[lo - 2 : hi - 2]  # left-movers, x-1
+        b = o_r[lo:hi]  # right-movers, x+1
+        add(ell, arr, a)
+        multiply(a, _INV_SQRT2, a)
+        subtract(ell, arr, b)
+        multiply(b, _INV_SQRT2, b)
+        odd[0, h - 1] *= omega
+        odd[1, h] *= omega
+        yield odd_win
+        if t == n:
+            return
+        r = min(t, xmax + n - t)
+        lo, hi = 2 * (h - (r + 1) // 2), 2 * (h + (r - 1) // 2 + 1)
+        ell = o_l[lo:hi]
+        arr = o_r[lo:hi]
+        a = e_l[lo:hi]  # left-movers, x-1
+        b = e_r[lo + 2 : hi + 2]  # right-movers, x+1
+        add(ell, arr, a)
+        multiply(a, _INV_SQRT2, a)
+        subtract(ell, arr, b)
+        multiply(b, _INV_SQRT2, b)
+        yield even_win
 
 
 def evolve(params: WalkParams, n: int) -> WalkState:
@@ -266,13 +282,14 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     kernel's compact columns.  The windows of consecutive steps are copied
     into a block, no larger than one kernel buffer, whose measures are
     squared and summed in one call each.  The block's rows of each parity are
-    then added to that parity's sum one at a time, in time order, so each
-    site's sum is formed in the order of a ``step`` loop; a site not yet
-    reached adds an exact zero.  The loop also adds the measure of every
-    site with x + t odd, an exact zero, and adding +0.0 to a nonnegative sum
-    changes nothing, so skipping those sites keeps the result equal to a
-    ``step`` loop bit for bit.  The sum of the one column outside the window
-    is dropped.
+    then added to that parity's sum by one ``np.add.accumulate`` over
+    [sum; rows], which adds them one at a time, in time order, so each site's
+    sum is formed in the order of a ``step`` loop; a site not yet reached
+    adds an exact zero.  So the running sums exist only at block ends.  The
+    loop also adds the measure of every site with x + t odd, an exact zero,
+    and adding +0.0 to a nonnegative sum changes nothing, so skipping those
+    sites keeps the result equal to a ``step`` loop bit for bit.  The sum of
+    the one column outside the window is dropped.
     """
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
@@ -297,8 +314,8 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
             mu = mu[:, 0] + mu[:, 1]
             for i in (0, 1):  # rows i, i+2, ... hold times of parity t0 + i
                 window = sums[(t0 + i) % 2, cols]
-                for row in mu[i::2]:
-                    window += row
+                run = np.concatenate((window[None], mu[i::2]))
+                window[...] = np.add.accumulate(run, axis=0)[-1]
             k = 0
     x = np.arange(-xmax, xmax + 1)
     return Measure(offset=-xmax, values=sums[x % 2, a + x // 2] / T)

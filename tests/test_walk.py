@@ -276,6 +276,48 @@ def test_reciprocal_scaling_matches_numpy_division():
         assert np.array_equal(got, zs / walk.SQRT2)
 
 
+def test_accumulate_matches_loop_sum():
+    # time_average adds each block's rows of one parity into the running sum
+    # with one np.add.accumulate over [running sum; rows].  That equals the
+    # step loop's ``acc += row`` bit for bit only because accumulate forms
+    # out[i] = out[i-1] + in[i] in row order; if a NumPy release sums its
+    # rows in another order (pairwise, say), this names the cause.
+    rng = np.random.default_rng(5)
+    blocks = [
+        rng.random(shape) * scale
+        for scale in (1.0, 1e-300, 1e300, 1e-310)  # the last is subnormal
+        for shape in ((167, 6), (1000, 3), (2, 13))
+    ]
+    # and one block whose entries span subnormal to 1e300
+    blocks.append(rng.random((500, 9)) * 10.0 ** rng.uniform(-320, 300, (500, 9)))
+    for rows in blocks:
+        rows[0] *= 1e3  # a running sum, then the measures added to it
+        acc = rows[0].copy()
+        for row in rows[1:]:
+            acc += row
+        assert np.array_equal(np.add.accumulate(rows, axis=0)[-1], acc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    state=coin_states(),
+    phi=st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True)),
+    T=st.integers(1, 90),
+    xmax=st.integers(0, 12),
+)
+def test_kernel_matches_step_loop_property(state, phi, T, xmax):
+    # Every parity of the last step, block end and window width against one
+    # walk.step loop, for evolve and time_average alike.
+    params = WalkParams(phi=phi, alpha=complex(state[0]), beta=complex(state[1]))
+    pad = max(T, xmax)
+    states, sums = _step_reference(params, {T}, pad)
+    got = walk.evolve(params, T)
+    assert np.max(np.abs(got.amps - states[T].amps)) == 0.0
+    mu = walk.time_average(params, T, xmax)
+    expected = sums[T][pad - xmax : pad + xmax + 1] / T
+    assert np.max(np.abs(mu.values - expected)) == 0.0
+
+
 @pytest.mark.parametrize("xmax", (0, 1, 5, 40))
 def test_time_average_block_edges(xmax):
     # Every T up to 60 ends the last block at many offsets within it; at
