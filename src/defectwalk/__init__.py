@@ -21,7 +21,6 @@ from .series import (
     psi_origin_sequence,
     rstar,
     rstar_series,
-    sqrt1z4_series,
 )
 from .spectral import (
     SpectralPoint,
@@ -65,7 +64,6 @@ __all__ = [
     "rstar",
     "rstar_series",
     "singular_points",
-    "sqrt1z4_series",
     "stationary_measure",
     "step",
     "time_average",

@@ -246,21 +246,18 @@ def cmd_series(args) -> int:
     order = args.order
     if order < 0:
         raise DomainError(f"--order must be >= 0, got {order}")
-    if args.what == "rstar":
-        # r*_n is -1 at n = 1 and zero unless n = 4m - 1
-        nonzero = [(1, (-1, 1))] if order >= 1 else []
-        nonzero += [(4 * m - 1, r)
-                    for m, r in enumerate(series._rstar_ratios((order + 1) // 4), 1)]
-        rows = _ratio_rows(1, order, nonzero)
-    elif args.what == "sqrt1z4":
+    if args.what == "sqrt1z4":
         # the z^n coefficient of sqrt(1 + z^4) is zero unless 4 divides n
         rows = _ratio_rows(0, order, [
             (4 * k, r) for k, r in enumerate(series._sqrt1z4_ratios(order))])
     else:
-        # first-return coefficient n is the z^(n+1) one of sqrt(1 + z^4)
-        rows = _ratio_rows(1, order, [
-            (4 * k - 1, r)
-            for k, r in enumerate(series._sqrt1z4_ratios(order + 1)) if k])
+        # first-return coefficient n, the z^(n+1) one of sqrt(1 + z^4), is
+        # zero unless n = 4m - 1, where it equals r*_n; r* adds r*_1 = -1
+        nonzero = [(4 * m - 1, r)
+                   for m, r in enumerate(series._rstar_ratios((order + 1) // 4), 1)]
+        if args.what == "rstar" and order >= 1:
+            nonzero.append((1, (-1, 1)))
+        rows = _ratio_rows(1, order, nonzero)
     _emit(["n,numerator,denominator", *rows], args.out)
     return 0
 

@@ -42,18 +42,6 @@ def _sqrt1z4_ratios(N: int) -> list:
     return out
 
 
-def sqrt1z4_series(N: int) -> tuple:
-    """Binomial expansion of (1 + z^4)^(1/2) through z^N.
-
-    Returns the N + 1 coefficients as Fractions, indexed by the power of z.
-    """
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
-    out = [Fraction(0)] * (N + 1)
-    out[::4] = [Fraction(num, den) for num, den in _sqrt1z4_ratios(N)]
-    return tuple(out)
-
-
 def rstar(n: int) -> Fraction:
     """Two-sided first-return coefficient r*_n.
 
@@ -92,26 +80,9 @@ def first_return_series(N: int) -> tuple:
     """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    return sqrt1z4_series(N + 1)[1:]
-
-
-# Integer-scaled step matrices: sqrt(2) * P and sqrt(2) * Q.
-_P2 = ((1, 1), (0, 0))
-_Q2 = ((0, 0), (1, -1))
-
-
-def _mat_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def _mat_add(a, b):
-    return (
-        (a[0][0] + b[0][0], a[0][1] + b[0][1]),
-        (a[1][0] + b[1][0], a[1][1] + b[1][1]),
-    )
+    out = [Fraction(0)] * (N + 1)  # nonzero only at n = 4k - 1
+    out[3::4] = [Fraction(num, den) for num, den in _sqrt1z4_ratios(N + 1)[1:]]
+    return tuple(out)
 
 
 PATH_ORACLE_MAX_N = 401
@@ -125,7 +96,10 @@ def path_oracle_coefficients(n: int) -> tuple:
     half-line step matrices along the path.  Paths are not enumerated: a
     dynamic program over positions carries, for each site x, the summed
     integer product of every admissible prefix ending at x, one step at a
-    time, in O(n^2) matrix products.  A site x at time t is kept only while
+    time.  Each step matrix has one nonzero row, so a step is a row update:
+    a left step (sqrt(2) P) adds row 0 + row 1 into row 0 at x - 1, and a
+    right step (sqrt(2) Q) adds row 0 - row 1 into row 1 at x + 1, O(n^2)
+    updates of four integers in all.  A site x at time t is kept only while
     x <= n - t, so it can still reach 0.  The sum is resolved in the
     orthonormal basis {P, Q, R, S} under <A|B> = tr(A* B); returns the four
     coefficients (p, q, r, s) as exact rationals.
@@ -138,28 +112,30 @@ def path_oracle_coefficients(n: int) -> tuple:
         # a path from 1 to 0 has odd length; the matrix sum is empty
         return (Fraction(0),) * 4
 
-    layer = {1: ((1, 0), (0, 1))}
+    # each site carries rows 0 and 1 of its summed product, (a, b) and (c, d)
+    layer = {1: (1, 0, 0, 1)}
     for t in range(1, n + 1):
         nxt = {}
-        for x, prod in layer.items():
-            # left step; leaving the half line is allowed only as the final move
+        for x, (a, b, c, d) in layer.items():
+            # left step, sqrt(2) P = ((1, 1), (0, 0)): row 0 + row 1 into row 0;
+            # leaving the half line is allowed only as the final move
             if x - 1 >= 1 or (x - 1 == 0 and t == n):
-                left = _mat_mul(_P2, prod)
-                nxt[x - 1] = _mat_add(nxt[x - 1], left) if x - 1 in nxt else left
-            # right step
+                a2, b2, c2, d2 = nxt.get(x - 1, (0, 0, 0, 0))
+                nxt[x - 1] = (a2 + a + c, b2 + b + d, c2, d2)
+            # right step, sqrt(2) Q = ((0, 0), (1, -1)): row 0 - row 1 into row 1
             if x + 1 <= n - t:
-                right = _mat_mul(_Q2, prod)
-                nxt[x + 1] = _mat_add(nxt[x + 1], right) if x + 1 in nxt else right
+                a2, b2, c2, d2 = nxt.get(x + 1, (0, 0, 0, 0))
+                nxt[x + 1] = (a2, b2, c2 + a - c, d2 + b - d)
         layer = nxt
     # after n steps only site 0 is left
-    m = layer[0]
-    # m = sqrt(2)^n * Xi; coefficients of Xi in {P,Q,R,S} pick up 1/sqrt(2)
-    # from each basis matrix, so every value is integer / 2^((n+1)/2).
+    a, b, c, d = layer[0]
+    # the sum is sqrt(2)^n * Xi; coefficients of Xi in {P,Q,R,S} pick up
+    # 1/sqrt(2) from each basis matrix, so every value is integer / 2^((n+1)/2).
     den = 2 ** ((n + 1) // 2)
-    p = Fraction(m[0][0] + m[0][1], den)
-    r = Fraction(m[0][0] - m[0][1], den)
-    s = Fraction(m[1][0] + m[1][1], den)
-    q = Fraction(m[1][0] - m[1][1], den)
+    p = Fraction(a + b, den)
+    r = Fraction(a - b, den)
+    s = Fraction(c + d, den)
+    q = Fraction(c - d, den)
     return (p, q, r, s)
 
 

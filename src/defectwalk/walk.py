@@ -17,11 +17,12 @@ defect phase.  For a real divisor s, NumPy's complex division computes each
 part as (re + im*0) * fl(1/s), so the kernel multiplies the float64 view of
 its buffers by ``_INV_SQRT2`` instead; only the sign of a zero can differ,
 and no measure sees it.  ``time_average`` squares and adds the measures of
-many steps at once, and adds a block of them into each running sum with one
-``np.add.accumulate``, which forms out[i] = out[i-1] + in[i] one time step
-after another, so every sum is formed in the same order as in the loop; the
-skipped sites would only have added +0.0 to a nonnegative sum, which changes
-nothing.
+many steps at once, each a block row as wide as the whole window, and adds a
+block of them into each running sum with one ``np.add.accumulate``, which
+forms out[i] = out[i-1] + in[i] one time step after another, so every sum is
+formed in the same order as in the loop.  The skipped sites, and the window
+columns the kernel has not reached yet (never written, so exact zeros), only
+add +0.0 to a nonnegative sum, which changes nothing.
 """
 
 from __future__ import annotations
@@ -279,17 +280,18 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     One light-cone kernel run to time T-1: step t updates only the sites
     |x| <= min(t-1, xmax+T-t) that can still reach the window, and only those
     with x + t even.  Each parity of t has its own running sum over the
-    kernel's compact columns.  The windows of consecutive steps are copied
-    into a block, no larger than one kernel buffer, whose measures are
-    squared and summed in one call each.  The block's rows of each parity are
-    then added to that parity's sum by one ``np.add.accumulate`` over
-    [sum; rows], which adds them one at a time, in time order, so each site's
-    sum is formed in the order of a ``step`` loop; a site not yet reached
-    adds an exact zero.  So the running sums exist only at block ends.  The
-    loop also adds the measure of every site with x + t odd, an exact zero,
-    and adding +0.0 to a nonnegative sum changes nothing, so skipping those
-    sites keeps the result equal to a ``step`` loop bit for bit.  The sum of
-    the one column outside the window is dropped.
+    kernel's xmax + 1 compact window columns.  The windows of consecutive
+    steps are copied whole into a block, no larger than one kernel buffer,
+    whose measures are squared and summed in one call each.  The block's rows
+    of each parity are then added to that parity's sum by one
+    ``np.add.accumulate`` over [sum; rows], which adds them one at a time, in
+    time order, so each site's sum is formed in the order of a ``step`` loop.
+    So the running sums exist only at block ends.  A column the kernel has
+    not reached yet was never written, so it holds an exact zero, and the
+    loop also adds the measure of every site with x + t odd, an exact zero;
+    adding +0.0 to a nonnegative sum changes nothing, so the result equals a
+    ``step`` loop bit for bit.  The sum of the one column outside the window
+    is dropped.
     """
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
@@ -302,18 +304,13 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     sums = np.zeros((2, xmax + 1))  # by parity of t, then compact column
     k = 0
     for t, amps in enumerate(_light_cone(params, n, xmax)):
-        if k == 0:  # the block's columns: the sites its last step reaches
-            t0 = t
-            w = min(t + rows - 1, n, xmax)
-            cols = slice(a - (w + 1) // 2, a + w // 2 + 1)
-            dst = block[:, :, cols]
-        dst[k] = amps[:, cols]
+        block[k] = amps
         k += 1
         if k == rows or t == n:
-            mu = np.abs(dst[:k]) ** 2
+            mu = np.abs(block[:k]) ** 2
             mu = mu[:, 0] + mu[:, 1]
-            for i in (0, 1):  # rows i, i+2, ... hold times of parity t0 + i
-                window = sums[(t0 + i) % 2, cols]
+            for i in (0, 1):  # rows i, i+2, ... hold times of parity t-k+1+i
+                window = sums[(t - k + 1 + i) % 2]
                 run = np.concatenate((window[None], mu[i::2]))
                 window[...] = np.add.accumulate(run, axis=0)[-1]
             k = 0

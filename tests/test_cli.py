@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from defectwalk import cli, limits, series, walk
+from test_series import _sqrt1z4_fraction_reference
 
 
 def run(capsys, *argv):
@@ -121,7 +122,7 @@ def test_series_rstar_table_equals_rstar(capsys, order):
 @pytest.mark.parametrize("what", ["sqrt1z4", "first-return"])
 def test_series_table_equals_fraction_series(capsys, what, order):
     if what == "sqrt1z4":
-        rows = enumerate(series.sqrt1z4_series(order))
+        rows = enumerate(_sqrt1z4_fraction_reference(order))
     else:
         rows = enumerate(series.first_return_series(order))
         next(rows)  # the table starts at n = 1

@@ -8,8 +8,15 @@ from defectwalk import series, spectral, walk
 from defectwalk.walk import DomainError, WalkParams
 
 
+def _sqrt1z4_fractions(N):
+    # sqrt(1 + z^4) through z^N from the integer ratios, indexed by the power
+    out = [Fraction(0)] * (N + 1)
+    out[::4] = [Fraction(num, den) for num, den in series._sqrt1z4_ratios(N)]
+    return out
+
+
 def test_sqrt1z4_low_coefficients():
-    s = series.sqrt1z4_series(12)
+    s = _sqrt1z4_fractions(12)
     assert s[0] == 1
     assert s[4] == Fraction(1, 2)
     assert s[8] == Fraction(-1, 8)
@@ -31,7 +38,6 @@ def _sqrt1z4_fraction_reference(N):
 
 def test_exact_series_match_fraction_recurrence():
     ref = _sqrt1z4_fraction_reference(2001)
-    assert series.sqrt1z4_series(2000) == tuple(ref[:2001])
     assert series.first_return_series(2000) == tuple(ref[1:])
     rstar_ref = ref[1:]
     rstar_ref[1] -= 1
@@ -123,7 +129,7 @@ def test_series_reciprocal_equals_full_product_newton():
 
 def test_sqrt1z4_squares_back():
     n = 40
-    s = series.sqrt1z4_series(n)
+    s = _sqrt1z4_fractions(n)
     for k in range(n + 1):
         sq = sum(s[i] * s[k - i] for i in range(k + 1))  # Cauchy product
         expected = Fraction(1) if k in (0, 4) else Fraction(0)
@@ -156,8 +162,7 @@ def test_first_return_series_coefficients():
 def test_series_edge_orders():
     assert series.rstar_series(0) == (Fraction(0),)
     assert series.first_return_series(0) == (Fraction(0),)
-    for func in (series.rstar_series, series.first_return_series,
-                 series.sqrt1z4_series):
+    for func in (series.rstar_series, series.first_return_series):
         for N in (-1, -2):
             with pytest.raises(DomainError, match=f"got {N}$"):
                 func(N)
@@ -165,7 +170,7 @@ def test_series_edge_orders():
 def test_half_line_mirror_is_negation():
     # the mirror half-line series (1 - sqrt(1+z^4))/z is minus the direct one
     fr = series.first_return_series(20)
-    s4 = series.sqrt1z4_series(21)
+    s4 = _sqrt1z4_fraction_reference(21)
     mirror = [Fraction(1 if k == 0 else 0) - s4[k] for k in range(22)]
     assert mirror[0] == 0  # divisible by z
     for n in range(21):
@@ -180,22 +185,27 @@ def test_path_oracle_basics():
     assert series.path_oracle_first_return(7) == Fraction(-1, 8)
 
 
-def _dfs_oracle(n):
-    # reference: the depth-first walk over every admissible step sequence
-    total = [((0, 0), (0, 0))]
+# Integer-scaled step matrices: sqrt(2) * P and sqrt(2) * Q.
+_P2 = ((1, 1), (0, 0))
+_Q2 = ((0, 0), (1, -1))
 
-    def walk_from(t, x, prod):
-        if t == n:
-            if x == 0:
-                total[0] = series._mat_add(total[0], prod)
-            return
-        if x - 1 >= 1 or (x - 1 == 0 and t + 1 == n):
-            walk_from(t + 1, x - 1, series._mat_mul(series._P2, prod))
-        if x + 1 <= n - (t + 1):
-            walk_from(t + 1, x + 1, series._mat_mul(series._Q2, prod))
 
-    walk_from(0, 1, ((1, 0), (0, 1)))
-    m = total[0]
+def _mat_mul(a, b):
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
+def _mat_add(a, b):
+    return (
+        (a[0][0] + b[0][0], a[0][1] + b[0][1]),
+        (a[1][0] + b[1][0], a[1][1] + b[1][1]),
+    )
+
+
+def _coefficients(m, n):
+    # (p, q, r, s) of sqrt(2)^n * Xi = m in the basis {P, Q, R, S}
     den = 2 ** ((n + 1) // 2)
     return (
         Fraction(m[0][0] + m[0][1], den),
@@ -205,9 +215,50 @@ def _dfs_oracle(n):
     )
 
 
+def _dfs_oracle(n):
+    # reference: the depth-first walk over every admissible step sequence
+    total = [((0, 0), (0, 0))]
+
+    def walk_from(t, x, prod):
+        if t == n:
+            if x == 0:
+                total[0] = _mat_add(total[0], prod)
+            return
+        if x - 1 >= 1 or (x - 1 == 0 and t + 1 == n):
+            walk_from(t + 1, x - 1, _mat_mul(_P2, prod))
+        if x + 1 <= n - (t + 1):
+            walk_from(t + 1, x + 1, _mat_mul(_Q2, prod))
+
+    walk_from(0, 1, ((1, 0), (0, 1)))
+    return _coefficients(total[0], n)
+
+
+def _matrix_product_oracle(n):
+    # reference: the dynamic program over positions in whole 2x2 matrix
+    # products, one product per admissible step
+    layer = {1: ((1, 0), (0, 1))}
+    for t in range(1, n + 1):
+        nxt = {}
+        for x, prod in layer.items():
+            if x - 1 >= 1 or (x - 1 == 0 and t == n):
+                left = _mat_mul(_P2, prod)
+                nxt[x - 1] = _mat_add(nxt[x - 1], left) if x - 1 in nxt else left
+            if x + 1 <= n - t:
+                right = _mat_mul(_Q2, prod)
+                nxt[x + 1] = _mat_add(nxt[x + 1], right) if x + 1 in nxt else right
+        layer = nxt
+    return _coefficients(layer[0], n)
+
+
 def test_path_oracle_matches_dfs_reference():
     for n in range(1, 16, 2):
         assert series.path_oracle_coefficients(n) == _dfs_oracle(n)
+
+
+def test_path_oracle_matches_matrix_product_dp():
+    # all four coefficients, exactly, up to the largest supported order
+    for n in list(range(1, 102, 2)) + [series.PATH_ORACLE_MAX_N]:
+        assert series.path_oracle_coefficients(n) == _matrix_product_oracle(n)
 
 
 def test_path_oracle_matches_first_return_series():
