@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -186,8 +187,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_time_average(args) -> int:
-    mu = walk.time_average(_params(args), args.T, args.xmax)
     sites = _sites(args.xmax)
+    mu = walk.time_average(_params(args), args.T, args.xmax)
     _emit_table("x,mu_bar_T", sites, [[mu.at(x) for x in sites]], args.out)
     return 0
 
@@ -201,9 +202,9 @@ def cmd_limit(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    sites = _sites(args.xmax)
     p = _params(args)
     mu = walk.time_average(p, args.T, args.xmax)
-    sites = _sites(args.xmax)
     sim = [mu.at(x) for x in sites]
     exact = [limits.mu_inf(x, p.phi, p.alpha, p.beta) for x in sites]
     errs = [abs(s - e) for s, e in zip(sim, exact)]
@@ -271,81 +272,76 @@ def cmd_stationary(args) -> int:
     return 0
 
 
-def _verify_checks():
-    """Yield (name, value, bound) records; ``cmd_verify`` passes a record iff
-    value <= bound.  Each value is an ``np.max`` over the check's gaps, so a
-    NaN gap makes its record fail."""
-    params = WalkParams.preset(1, 0.3)
-    state = walk.evolve(params, 400)
-    yield "unitarity (phi=0.3, n=400)", abs(state.norm_sq() - 1.0), 1e-9
+def _steps(phi: float, n: int):
+    """States at t = 0 .. n of a ``walk.step`` loop from the eta = 1 preset."""
+    params = WalkParams.preset(1, phi)
+    yield (state := walk.initial_state(params))
+    for _ in range(n):
+        yield (state := walk.step(state, params))
 
-    # one step at a time through the defect: sites with x + t odd stay empty
-    gaps, odd = [], []
-    for phi in (0.125, 0.5):
-        pr = WalkParams.preset(1, phi)
-        renewal = series.psi_origin_sequence(60, pr)
-        st = walk.initial_state(pr)
-        for t in range(0, 121):
-            if t > 0:
-                st = walk.step(st, pr)
-            odd.append(np.max(walk.measure(st).values[(st.offset + t + 1) % 2::2],
-                              initial=0.0))
-            if t % 2 == 0:
-                gaps.append(np.max(np.abs(renewal[t // 2] - st.amplitude(0))))
-    yield "parity (odd sites empty)", np.max(odd), 0.0
 
-    hp = WalkParams.preset(1, 0.0)
-    asym = []
-    st = walk.initial_state(hp)
-    for n in range(1, 201):
-        st = walk.step(st, hp)
-        m = walk.measure(st)  # support -n .. n, so values[::-1] is mu(-x)
-        asym.append(np.max(np.abs(m.values - m.values[::-1])))
-    yield "homogeneous symmetry (n<=200)", np.max(asym), 1e-12
-
-    mismatches = sum(
-        not (series.rstar(n) == series.rstar_series(n)[n]
-             == series.path_oracle_first_return(n) - (1 if n == 1 else 0))
-        for n in range(1, 16)
-    )
-    yield "series triple equivalence (n<=15)", mismatches, 0
-
-    yield "renewal vs evolution (n<=60)", np.max(gaps), 1e-10
-
-    l0, wsum = [], []
-    a, b = 0.6 + 0j, 0.8j
-    for i in range(1, 11):
-        phi = i / 11
-        pts = spectral.singular_points(phi)
-        l0 += [abs(spectral.big_lambda0(pt.z, phi)) for pt in pts]
-        wsum.append(abs(sum(spectral.residue_norms(pts, phi, a, b))
-                        - limits.mu_inf_origin(phi, a, b)))
-    yield "spectral closure |L0| (10-point grid)", np.max(l0), 1e-10
-    yield "spectral closure residue-sum gap (10-point grid)", np.max(wsum), 1e-12
-
-    gaps = [limits.compare_stationary_timeavg(phi, branch)
-            for phi, branch in ((0.3, "plus"), (0.3, "minus"), (0.5, "plus"))]
-    yield "stationary coincidence", np.max(gaps), 1e-12
-
+def _check_renewal():
     gaps = []
-    for i in range(1, 11):
-        phi = i / 11
-        for eta in (1, -1):
-            a, b = 1 / SQRT2, eta * 1j / SQRT2
-            gaps.append(abs(limits.cgmv_limit_origin(phi, a, b)
-                            - limits.mu_inf_origin(phi, a, b)))
-    yield "CMV-form equality", np.max(gaps), 1e-14
+    for phi in (0.125, 0.5):
+        renewal = series.psi_origin_sequence(60, WalkParams.preset(1, phi))
+        evolved = itertools.islice(_steps(phi, 120), 0, None, 2)  # t = 0, 2, .., 120
+        gaps += [np.max(np.abs(r - st.amplitude(0)))
+                 for r, st in zip(renewal, evolved, strict=True)]
+    return gaps
 
+
+def _check_limit_vs_simulation():
     pr = WalkParams.preset(1, 0.5)
     mu = walk.time_average(pr, 2000, 5)
-    gaps = [abs(mu.at(x) - limits.mu_inf(x, 0.5, pr.alpha, pr.beta))
+    return [abs(mu.at(x) - limits.mu_inf(x, 0.5, pr.alpha, pr.beta))
             for x in range(-5, 6)]
-    yield "limit vs simulation (T=2000)", np.max(gaps), 2e-2
+
+
+_GRID = [i / 11 for i in range(1, 11)]
+_STATE = (0.6 + 0j, 0.8j)  # not branch-pure (beta != +-i alpha): both families weigh in
+
+# (name, bound, check): ``cmd_verify`` passes a record iff np.max of the
+# check's gaps is <= bound, so a NaN gap fails it.  No check reads another
+# row's state, so each row runs on its own.
+VERIFY_CHECKS = (
+    ("unitarity (phi=0.3, n=400)", 1e-9,
+     lambda: abs(walk.evolve(WalkParams.preset(1, 0.3), 400).norm_sq() - 1.0)),
+    # one step at a time through the defect: sites with x + t odd stay empty
+    ("parity (odd sites empty)", 0.0,
+     lambda: [np.max(walk.measure(st).values[(st.offset + t + 1) % 2::2], initial=0.0)
+              for phi in (0.125, 0.5) for t, st in enumerate(_steps(phi, 120))]),
+    # support -n .. n, so values[::-1] is mu(-x)
+    ("homogeneous symmetry (n<=200)", 1e-12,
+     lambda: [np.max(np.abs(m.values - m.values[::-1]))
+              for m in map(walk.measure, _steps(0.0, 200))]),
+    ("series triple equivalence (n<=15)", 0,
+     lambda: sum(not (series.rstar(n) == series.rstar_series(n)[n]
+                      == series.path_oracle_first_return(n) - (1 if n == 1 else 0))
+                 for n in range(1, 16))),
+    ("renewal vs evolution (n<=60)", 1e-10, _check_renewal),
+    ("spectral closure |L0| (10-point grid)", 1e-10,
+     lambda: [abs(spectral.big_lambda0(pt.z, phi))
+              for phi in _GRID for pt in spectral.singular_points(phi)]),
+    ("spectral closure residue-sum gap (10-point grid)", 1e-12,
+     lambda: [abs(sum(spectral.residue_norms(pts, phi, *_STATE))
+                  - limits.mu_inf_origin(phi, *_STATE))
+              for phi in _GRID for pts in [spectral.singular_points(phi)]]),
+    ("stationary coincidence", 1e-12,
+     lambda: [limits.compare_stationary_timeavg(phi, branch)
+              for phi, branch in ((0.3, "plus"), (0.3, "minus"), (0.5, "plus"))]),
+    ("CMV-form equality", 1e-14,
+     lambda: [abs(limits.cgmv_limit_origin(phi, p.alpha, p.beta)
+                  - limits.mu_inf_origin(phi, p.alpha, p.beta))
+              for phi in _GRID
+              for p in (WalkParams.preset(1, phi), WalkParams.preset(-1, phi))]),
+    ("limit vs simulation (T=2000)", 2e-2, _check_limit_vs_simulation),
+)
 
 
 def cmd_verify(args) -> int:
     failures = 0
-    for name, value, bound in _verify_checks():
+    for name, bound, check in VERIFY_CHECKS:
+        value = np.max(check())
         ok = value <= bound  # False for a NaN value
         failures += not ok
         tag = "ok" if ok else "FAIL"

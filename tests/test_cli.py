@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import re
@@ -328,17 +330,62 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("x,mu_inf\n")
 
 
+# every verify record, in order, with its bound: a refactor or a new record
+# must not rename, drop, reorder or loosen one
+VERIFY_RECORDS = [
+    ("unitarity (phi=0.3, n=400)", 1e-9),
+    ("parity (odd sites empty)", 0.0),
+    ("homogeneous symmetry (n<=200)", 1e-12),
+    ("series triple equivalence (n<=15)", 0),
+    ("renewal vs evolution (n<=60)", 1e-10),
+    ("spectral closure |L0| (10-point grid)", 1e-10),
+    ("spectral closure residue-sum gap (10-point grid)", 1e-12),
+    ("stationary coincidence", 1e-12),
+    ("CMV-form equality", 1e-14),
+    ("limit vs simulation (T=2000)", 2e-2),
+]
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = [line for line in out.strip().split("\n") if line.startswith("[")]
     assert len(lines) == 10
     assert all(line.startswith("[ok") for line in lines)
+    names = []
     for line in lines:
-        found = re.fullmatch(r"\[ok  \] .+ = (\S+) \(bound (\S+)\)", line)
+        found = re.fullmatch(r"\[ok  \] (.+) = (\S+) \(bound (\S+)\)", line)
         assert found, line
-        assert float(found[1]) <= float(found[2]), line
+        assert float(found[2]) <= float(found[3]), line
+        names.append(found[1])
+    assert names == [name for name, _ in VERIFY_RECORDS]
+    assert [(name, bound) for name, bound, _ in cli.VERIFY_CHECKS] == VERIFY_RECORDS
     assert "all checks passed" in out
+
+
+@pytest.fixture(scope="module")
+def clean_verify_lines():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify"]) == 0
+    return out.getvalue().split("\n")
+
+
+@pytest.mark.parametrize("row", range(len(VERIFY_RECORDS)))
+def test_verify_judges_each_row_alone(capsys, monkeypatch, clean_verify_lines, row):
+    name, bound, _ = cli.VERIFY_CHECKS[row]
+    table = list(cli.VERIFY_CHECKS)
+    # Python's max([0.0, nan]) is 0.0; the record must still fail
+    table[row] = (name, bound, lambda: [0.0, math.nan])
+    monkeypatch.setattr(cli, "VERIFY_CHECKS", tuple(table))
+    code, out, _ = run(capsys, "verify")
+    assert code == cli.VERIFY_ERROR
+    # only the NaN row and the summary differ from the clean run
+    expected = list(clean_verify_lines)
+    expected[row] = f"[FAIL] {name} = nan (bound {bound:.0e})"
+    expected[-2] = "1 check(s) failed"
+    assert out.split("\n") == expected
+    assert out.endswith("1 check(s) failed\n")
 
 
 @pytest.mark.parametrize(
@@ -491,6 +538,8 @@ def test_normalize_rejects_zero_state(capsys):
     [
         ("limit", "--phi", "0.5", "--xmax", "-1"),
         ("stationary", "--phi", "0.5", "--branch", "plus", "--xmax", "-1"),
+        ("time-average", "--phi", "0.5", "--T", "10", "--xmax", "-1"),
+        ("compare", "--phi", "0.5", "--T", "10", "--xmax", "-1"),
     ],
 )
 def test_negative_xmax_is_usage_error(capsys, argv):
