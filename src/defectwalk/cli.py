@@ -92,10 +92,20 @@ def _params(args) -> WalkParams:
 
 
 def _sites(xmax: int) -> range:
-    """Sites -xmax .. xmax of a table; a negative --xmax is a DomainError."""
-    if xmax < 0:
-        raise DomainError(f"--xmax must be >= 0, got {xmax}")
+    """Sites -xmax .. xmax of a table."""
     return range(-xmax, xmax + 1)
+
+
+# the least value of each integer flag, which ``main`` checks before the
+# command runs, so an error names the flag rather than a library parameter
+_INT_FLAG_LEAST = {"steps": 0, "T": 1, "xmax": 0, "order": 0}
+
+
+def _check_int_flags(args) -> None:
+    for name, least in _INT_FLAG_LEAST.items():
+        value = getattr(args, name, least)  # least where the command lacks it
+        if value < least:
+            raise DomainError(f"--{name} must be >= {least}, got {value}")
 
 
 def _emit(lines, out_path):
@@ -245,8 +255,6 @@ def _ratio_rows(first: int, last: int, nonzero) -> list:
 
 def cmd_series(args) -> int:
     order = args.order
-    if order < 0:
-        raise DomainError(f"--order must be >= 0, got {order}")
     if args.what == "sqrt1z4":
         # the z^n coefficient of sqrt(1 + z^4) is zero unless 4 divides n
         rows = _ratio_rows(0, order, [
@@ -356,6 +364,7 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_int_flags(args)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

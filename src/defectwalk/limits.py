@@ -10,11 +10,12 @@ families, one per trapped eigenmode of the defect.  ``_FAMILIES`` maps each
 family's label eta = +-1 to the open phi interval where it carries mass.
 Family eta has the angle a = 2*pi*phi - eta*pi/4, the energy
 w = sqrt(2)*cos(a) = C + eta*S (C = cos(2*pi*phi), S = sin(2*pi*phi)), and
-projects the coin state onto alpha - eta*i*beta.  ``_families`` evaluates
-both, and ``mu_inf``, ``mu_inf_origin``, ``total_point_mass`` and
-``asymptotic_psi_origin`` read it.  Every caller evaluates a profile over
-many sites for one (phi, state), so the table is memoized: it is built once
-per (phi, alpha, beta), and only a build checks the coin state.  Each public
+projects the coin state onto alpha - eta*i*beta.  ``_families`` lists the
+families that carry mass, each with a geometric rate below 1, so ``mu_inf``,
+``mu_inf_origin``, ``total_point_mass`` and ``asymptotic_psi_origin`` read
+it with no zero-mass guard.  Every caller evaluates a profile over many
+sites for one (phi, state), so the table is memoized: it is built once per
+(phi, alpha, beta), and only a build checks the coin state.  Each public
 function still checks phi on every call.
 
 ``cgmv_limit_origin`` and ``stationary_measure`` do not read the table: they
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .walk import SQRT2, DomainError, _check_phi, _check_state
+from .walk import SQRT2, DomainError, _check_phi, _check_state, _time_index
 
 # eta -> the open phi interval where family eta carries mass.  At each end
 # its energy w is 1, where the weight ((1 - w)/(3 - 2w))^2 vanishes, so the
@@ -52,24 +53,16 @@ def _angle(phi: float, eta: int) -> float:
     return 2 * math.pi * phi - eta * math.pi / 4
 
 
-def _family_weight(w: float) -> float:
-    """Origin weight ((1 - w)/(3 - 2w))^2 of one family with energy w.
-
-    Zero where w rounds to >= 1.  In exact arithmetic w < 1 inside the
-    family's interval, but w -> 1 as phi -> 0 or 1, and the eta = -1 energy
-    rounds to 1 or above for phi below ~2.7e-17, where the true weight is
-    below 1e-31.  Dropping it keeps the geometric rate 1/(3 - 2w) below 1
-    wherever a weight is nonzero.
-    """
-    if w >= 1:
-        return 0.0
-    return ((1 - w) / (3 - 2 * w)) ** 2
-
-
 @functools.lru_cache(maxsize=8, typed=True)
 def _families(phi: float, alpha: complex, beta: complex) -> tuple:
-    """(eta, w, mu) for eta = -1, +1: the family's energy w and its point
-    mass mu at the origin, which is zero outside its interval.
+    """(eta, w, mu) for each family that carries mass: its energy w < 1 and
+    its point mass mu = ((1 - w)/(3 - 2w))^2 |alpha - eta i beta|^2 > 0 at
+    the origin.  Each listed family's geometric rate 1/(3 - 2w) is below 1.
+
+    In exact arithmetic w < 1 inside the family's interval, but w -> 1 as
+    phi -> 0 or 1, and the eta = -1 energy rounds to 1 or above for phi
+    below ~2.7e-17, where the true weight is below 1e-31.  Such a family is
+    left out, as is one outside its interval.
 
     Memoized; a miss first checks the coin state (``_check_state``), and the
     caller has checked phi.  ``typed`` keeps keys of different numeric types
@@ -78,11 +71,12 @@ def _families(phi: float, alpha: complex, beta: complex) -> tuple:
     _check_state(alpha, beta)
     table = []
     for eta in _FAMILIES:
+        if not _in_family(phi, eta):
+            continue
         w = SQRT2 * math.cos(_angle(phi, eta))
-        mu = 0.0
-        if _in_family(phi, eta):
-            mu = _family_weight(w) * abs(alpha - eta * 1j * beta) ** 2
-        table.append((eta, w, mu))
+        mu = ((1 - w) / (3 - 2 * w)) ** 2 * abs(alpha - eta * 1j * beta) ** 2
+        if w < 1 and mu > 0:
+            table.append((eta, w, mu))
     return tuple(table)
 
 
@@ -95,14 +89,14 @@ def mu_inf(x: int, phi: float, alpha: complex, beta: complex) -> float:
     """Time-averaged limit measure at site x: two geometric profiles.
 
     Family eta puts its origin mass mu at x = 0 and (2 - w) mu / (3 - 2w)^|x|
-    at x != 0, so the measure is symmetric in x <-> -x.  A family without
-    mass is skipped: its rate can exceed 1, and the power would overflow at
-    large |x|.
+    at x != 0, so the measure is symmetric in x <-> -x.  Only families that
+    carry mass are listed, and their rates are below 1, so the power cannot
+    overflow at large |x|.
     """
     _check_phi(phi)
     total = 0.0
     for _, w, mu in _families(phi, alpha, beta):
-        if x != 0 and mu != 0.0:
+        if x != 0:
             mu *= (2 - w) * (1 / (3 - 2 * w)) ** abs(x)
         total += mu
     return total
@@ -116,10 +110,8 @@ def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
     """
     _check_phi(phi)
     families = _families(phi, alpha, beta)
-    total = sum(mu for _, _, mu in families)
+    total = sum((mu for _, _, mu in families), 0.0)
     for _, w, mu in families:
-        if mu == 0.0:
-            continue
         rate = 1 / (3 - 2 * w)
         total += 2 * (2 - w) * rate / (1 - rate) * mu
     return total
@@ -137,13 +129,10 @@ def asymptotic_psi_origin(
     angle a, sqrt(2 - w^2) = sqrt(2)|sin a| does not cancel as w -> -sqrt(2).
     """
     _check_phi(phi)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _time_index(n)
     psi_l = 0j
     psi_r = 0j
-    for eta, w, mu in _families(phi, alpha, beta):
-        if mu == 0.0:
-            continue
+    for eta, w, _ in _families(phi, alpha, beta):
         # atan2 ignores the common factor 1/(3 - 2w) > 0
         ang = n * math.atan2((2 - w) * SQRT2 * math.sin(_angle(phi, eta)), -(1 - w) ** 2)
         osc = complex(math.cos(ang), math.sin(ang))
@@ -210,7 +199,7 @@ def compare_stationary_timeavg(phi: float, branch: str) -> float:
     is tiny, as for minus at small phi, where it is about 79 phi^2.
 
     The limit carries no mass outside the branch's interval, nor for minus
-    at phi up to ~2.7e-17, where ``_family_weight`` drops the family.  Both
+    at phi up to ~2.7e-17, where ``_families`` leaves the family out.  Both
     sides are then 0 at every site and the gap says nothing, so a zero
     origin value is a DomainError, as is a profile that
     ``stationary_measure`` rejects.

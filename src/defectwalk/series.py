@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .walk import DomainError, WalkParams
+from .walk import DomainError, WalkParams, _time_index
 
 
 def _sqrt1z4_ratios(N: int) -> list:
@@ -51,8 +51,7 @@ def rstar(n: int) -> Fraction:
     triple-equivalence tests pin it against both the series expansion and
     the exact first-passage path sum.
     """
-    if n <= 0:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _time_index(n)
     if n == 1:
         return Fraction(-1)
     if n % 4 != 3:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,18 @@ def _check_phi(phi: float) -> None:
     """
     if not 0.0 <= phi < 1.0:
         raise DomainError(f"phi must lie in [0, 1), got {phi}")
+
+
+def _time_index(n) -> int:
+    """The one domain rule for a time index: an integer n >= 1 (NumPy
+    integers too), returned as an int; nan, inf, 2.5 and 3.0 are refused."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    return n
 
 
 def _is_normalized(norm_sq: float) -> bool:

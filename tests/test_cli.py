@@ -558,7 +558,7 @@ def test_negative_xmax_is_usage_error(capsys, argv):
          "cannot parse alpha"),
         (("limit", "--phi", "0.5", "--xmax", "0", "--alpha", "1,0"),
          "must be given together"),
-        (("simulate", "--phi", "0.5", "--steps", "-1"), "n must be >= 0, got -1"),
+        (("simulate", "--phi", "0.5", "--steps", "-1"), "--steps must be >= 0, got -1"),
         (("stationary", "--phi", "0.1", "--branch", "plus", "--xmax", "1"),
          "does not decay"),
         (("stationary", "--phi", "0.9", "--branch", "minus", "--xmax", "1"),
@@ -569,6 +569,10 @@ def test_negative_xmax_is_usage_error(capsys, argv):
         # the rate rounded to 1 - 4.4e-16 here and the profile was printed
         (("stationary", "--phi", "0.75", "--branch", "minus", "--xmax", "3"),
          "does not decay"),
+        (("time-average", "--phi", "0.3", "--T", "0", "--xmax", "1"),
+         "--T must be >= 1, got 0"),
+        (("compare", "--phi", "0.3", "--T", "0", "--xmax", "1"),
+         "--T must be >= 1, got 0"),
     ],
 )
 def test_domain_error_is_usage_error(capsys, argv, message):

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defectwalk import limits
@@ -114,6 +114,20 @@ def test_total_point_mass_bounds_origin_value(phi, state):
     assert 0.0 <= limits.mu_inf_origin(phi, a, b) <= total <= 1.0 + 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(phi=_near_edge_phi(), state=_coin_states(),
+       x=st.integers(1, 10**18) | st.integers(-10**18, -1))
+@example(phi=1e-20, state=(0.6, 0.8j), x=1)
+@example(phi=2e-17, state=(0.6, 0.8j), x=10**18)
+def test_mu_inf_far_sites_bounded_by_origin(phi, state, x):
+    # each listed family has w < 1, so (2 - w) * rate < 1 and rate < 1: no
+    # site outweighs the origin, even near phi = 0, where w can round to 1
+    a, b = state
+    far = limits.mu_inf(x, phi, a, b)
+    assert math.isfinite(far)
+    assert 0.0 <= far <= limits.mu_inf_origin(phi, a, b)
+
+
 def test_total_point_mass_matches_site_sum():
     p = WalkParams.preset(1, 0.4)
     by_sites = sum(limits.mu_inf(x, 0.4, p.alpha, p.beta) for x in range(-200, 201))
@@ -143,8 +157,12 @@ def test_asymptotic_vanishes_outside_regions():
 
 
 def test_asymptotic_requires_positive_n():
-    with pytest.raises(DomainError):
-        limits.asymptotic_psi_origin(0, 0.5, 1.0, 0.0)
+    # a float n once gave four NaNs, a value, or a bare ValueError
+    for n in (0, math.nan, math.inf, 2.5, 3.0):
+        with pytest.raises(DomainError, match="n must be"):
+            limits.asymptotic_psi_origin(n, 0.5, 1.0, 0.0)
+    assert limits.asymptotic_psi_origin(np.int64(7), 0.3, 0.6, 0.8j) == (
+        limits.asymptotic_psi_origin(7, 0.3, 0.6, 0.8j))
 
 
 def _return_limit(phi, eta):

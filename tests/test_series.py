@@ -145,10 +145,11 @@ def test_rstar_reference_values():
 
 
 def test_rstar_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        series.rstar(0)
-    with pytest.raises(DomainError):
-        series.rstar(-3)
+    # a float n once returned Fraction(0) or raised TypeError
+    for n in (0, -3, math.nan, math.inf, 2.5, 3.0):
+        with pytest.raises(DomainError, match="n must be"):
+            series.rstar(n)
+    assert series.rstar(np.int64(7)) == series.rstar(7)
 
 
 def test_first_return_series_coefficients():
