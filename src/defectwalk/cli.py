@@ -298,6 +298,26 @@ def _check_renewal():
     return gaps
 
 
+def _check_kernel_vs_steps():
+    """Gaps of ``evolve`` and ``time_average`` (the light-cone kernel) from a
+    ``walk.step`` loop, which they reproduce bit for bit."""
+    T, xmax = 200, 5
+    gaps = []
+    for phi in (0.125, 0.5):
+        states = list(_steps(phi, T))
+        amps = np.zeros((T, 2 * xmax + 1, 2), dtype=complex)  # times 0 .. T-1, |x| <= xmax
+        for t, st in enumerate(states[:T]):
+            k = min(t, xmax)
+            amps[t, xmax - k : xmax + k + 1] = st.amps[t - k : t + k + 1]
+        # ``walk.measure`` of every window at once, summed in time order
+        mu = np.sum(np.abs(amps) ** 2, axis=2)
+        mean = np.add.accumulate(mu, axis=0)[-1] / T
+        p = WalkParams.preset(1, phi)
+        gaps.append(np.max(np.abs(walk.time_average(p, T, xmax).values - mean)))
+        gaps.append(np.max(np.abs(walk.evolve(p, T).amps - states[T].amps)))
+    return gaps
+
+
 def _check_limit_vs_simulation():
     pr = WalkParams.preset(1, 0.5)
     mu = walk.time_average(pr, 2000, 5)
@@ -342,6 +362,7 @@ VERIFY_CHECKS = (
                   - limits.mu_inf_origin(phi, p.alpha, p.beta))
               for phi in _GRID
               for p in (WalkParams.preset(1, phi), WalkParams.preset(-1, phi))]),
+    ("kernel vs step loop (T=200)", 0.0, _check_kernel_vs_steps),
     ("limit vs simulation (T=2000)", 2e-2, _check_limit_vs_simulation),
 )
 

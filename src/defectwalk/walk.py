@@ -13,16 +13,23 @@ t (the walker moves one site per step), so the kernel stores only the sites
 with x + t even, in compact columns, and never computes the zeros.  One
 buffer holds the even times and one the odd times, so each pass of its loop
 makes two half-steps whose offsets are fixed, and only the first applies the
-defect phase.  For a real divisor s, NumPy's complex division computes each
-part as (re + im*0) * fl(1/s), so the kernel multiplies the float64 view of
-its buffers by ``_INV_SQRT2`` instead; only the sign of a zero can differ,
-and no measure sees it.  ``time_average`` squares and adds the measures of
-many steps at once, each a block row as wide as the whole window, and adds a
-block of them into each running sum with one ``np.add.accumulate``, which
-forms out[i] = out[i-1] + in[i] one time step after another, so every sum is
-formed in the same order as in the loop.  The skipped sites, and the window
-columns the kernel has not reached yet (never written, so exact zeros), only
-add +0.0 to a nonnegative sum, which changes nothing.
+defect phase.  At a few hundred sites a step costs NumPy call overhead, not
+arithmetic, so the kernel slices its buffers once per run of ``_RUN``
+passes, not once per pass: each run updates every site that any of its
+steps needs (a bound in closed form), and the extra sites hold either exact
+zeros, which stay +0.0, or values that can no longer reach the window.  For
+a real divisor s, NumPy's complex division computes each part as
+(re + im*0) * fl(1/s), so the kernel multiplies the float64 view of its
+buffers by ``_INV_SQRT2`` instead; only the sign of a zero can differ, and
+no measure sees it.  It passes that scale as a 0-d array, which NumPy does
+not convert on every call as it does a Python float.  ``time_average``
+squares and adds the measures of many steps at once, each a block row as
+wide as the whole window, and adds a block of them into each running sum
+with one ``np.add.accumulate``, which forms out[i] = out[i-1] + in[i] one
+time step after another, so every sum is formed in the same order as in the
+loop.  The skipped sites, and the window columns the kernel has not reached
+yet (never written, so exact zeros), only add +0.0 to a nonnegative sum,
+which changes nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / SQRT2
+# the kernel's scale as a 0-d array, which NumPy does not convert per call
+_INV_SQRT2_0D = np.array(_INV_SQRT2)
+_RUN = 16  # kernel passes (two steps each) that share one set of views
 
 
 class DomainError(ValueError):
@@ -207,9 +217,23 @@ def _light_cone(params: WalkParams, n: int, xmax: int):
     the defect phase is applied, since the origin is occupied only at even
     times; from an odd time left-movers stay and right-movers land one
     column right.  When n is odd the last pass stops after its first half.
-    Step t reads only |x| <= min(t-1, xmax+n-t+1): a site farther out can no
-    longer reach the window by time n.  A column beyond |x| = t has never
-    been written, so it holds the zero the support needs.
+    Step t needs only |x| <= min(t-1, xmax+n-t+1): a site farther out can no
+    longer reach the window by time n.
+
+    The passes come in runs of ``_RUN`` (2 * _RUN steps), and each run slices
+    its eight float64 views once.  For a run whose passes have odd t = t0 ..
+    last, its half-steps from even times update |x| <= min(last-1,
+    xmax+n-t0+1) and those from odd times |x| <= min(last, n-1, xmax+n-t0):
+    at least the reach of each of its steps, and at most n - 1 < c, so inside
+    the buffers.  The extra sites are of two kinds.  Where step t reads
+    beyond the support |x| <= t-1 of its input, the inputs are the zeros the
+    buffers were made with, so the outputs are +0.0 again: a column beyond
+    |x| = t holds the zero the support needs.  Beyond the reach a site may
+    hold a stale value, but it cannot reach the window by time n, so no
+    window value changes.  With the 0-d scale below, the runs made
+    ``time_average`` at T = 1000, xmax = 5, where a step updates at most
+    about 250 sites, about 1.5x faster than slicing per pass (2 shared
+    vCPUs, fastest of interleaved calls).
 
     Each item is a (2, xmax+1) view, rows (left, right), of the compact
     columns ``h - (xmax+1)//2 .. h + xmax//2`` of the buffer of its parity;
@@ -221,9 +245,12 @@ def _light_cone(params: WalkParams, n: int, xmax: int):
     the buffers: the real and imaginary parts are added and subtracted
     separately, exactly as complex addition does, and then multiplied by
     ``_INV_SQRT2``, which is what NumPy's division of a complex by the real
-    ``SQRT2`` computes, up to the sign of a zero.  So every stored value
-    equals a ``step`` loop bit for bit (``==``; a zero may carry the other
-    sign), and every site skipped holds an exact zero in that loop.
+    ``SQRT2`` computes, up to the sign of a zero.  The scale is the 0-d
+    float64 array ``_INV_SQRT2_0D``, the same value: on 500 floats NumPy
+    2.4.6 multiplies by it in 0.48 us against 0.70 us for a Python float,
+    which it converts on every call.  So every stored value equals a
+    ``step`` loop bit for bit (``==``; a zero may carry the other sign), and
+    every site skipped holds an exact zero in that loop.
     """
     c = max(n, xmax)  # the sites stored lie in |x| <= c
     h = (c + 1) // 2  # compact column of the origin
@@ -232,37 +259,37 @@ def _light_cone(params: WalkParams, n: int, xmax: int):
     even[:, h] = params.alpha, params.beta
     (e_l, e_r), (o_l, o_r) = even.view(np.float64), odd.view(np.float64)
     omega = params.omega
-    add, subtract, multiply = np.add, np.subtract, np.multiply
+    add, subtract, multiply, scale = np.add, np.subtract, np.multiply, _INV_SQRT2_0D
     lo_w, hi_w = h - (xmax + 1) // 2, h + xmax // 2 + 1  # window columns
     even_win, odd_win = even[:, lo_w:hi_w], odd[:, lo_w:hi_w]
     yield even_win
-    for t in range(1, n + 1, 2):  # t odd: steps t (from even) and t + 1
-        r = min(t - 1, xmax + n - t + 1)
+    for t0 in range(1, n + 1, 2 * _RUN):  # one run: odd t = t0 .. last
+        last = min(t0 + 2 * _RUN - 2, n - 1 + n % 2)
+        r = min(last - 1, xmax + n - t0 + 1)  # from even times
         lo, hi = 2 * (h - r // 2), 2 * (h + r // 2 + 1)
-        ell = e_l[lo:hi]
-        arr = e_r[lo:hi]
-        a = o_l[lo - 2 : hi - 2]  # left-movers, x-1
-        b = o_r[lo:hi]  # right-movers, x+1
-        add(ell, arr, a)
-        multiply(a, _INV_SQRT2, a)
-        subtract(ell, arr, b)
-        multiply(b, _INV_SQRT2, b)
-        odd[0, h - 1] *= omega
-        odd[1, h] *= omega
-        yield odd_win
-        if t == n:
-            return
-        r = min(t, xmax + n - t)
+        ell0, arr0 = e_l[lo:hi], e_r[lo:hi]
+        a0 = o_l[lo - 2 : hi - 2]  # left-movers, x-1
+        b0 = o_r[lo:hi]  # right-movers, x+1
+        r = min(last, n - 1, xmax + n - t0)  # from odd times
         lo, hi = 2 * (h - (r + 1) // 2), 2 * (h + (r - 1) // 2 + 1)
-        ell = o_l[lo:hi]
-        arr = o_r[lo:hi]
-        a = e_l[lo:hi]  # left-movers, x-1
-        b = e_r[lo + 2 : hi + 2]  # right-movers, x+1
-        add(ell, arr, a)
-        multiply(a, _INV_SQRT2, a)
-        subtract(ell, arr, b)
-        multiply(b, _INV_SQRT2, b)
-        yield even_win
+        ell1, arr1 = o_l[lo:hi], o_r[lo:hi]
+        a1 = e_l[lo:hi]  # left-movers, x-1
+        b1 = e_r[lo + 2 : hi + 2]  # right-movers, x+1
+        for t in range(t0, last + 1, 2):  # steps t (from even) and t + 1
+            add(ell0, arr0, a0)
+            multiply(a0, scale, a0)
+            subtract(ell0, arr0, b0)
+            multiply(b0, scale, b0)
+            odd[0, h - 1] *= omega
+            odd[1, h] *= omega
+            yield odd_win
+            if t == n:
+                return
+            add(ell1, arr1, a1)
+            multiply(a1, scale, a1)
+            subtract(ell1, arr1, b1)
+            multiply(b1, scale, b1)
+            yield even_win
 
 
 def evolve(params: WalkParams, n: int) -> WalkState:
@@ -290,9 +317,10 @@ def measure(state: WalkState) -> Measure:
 def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     """Average of the site measures over times 0 .. T-1, restricted to |x| <= xmax.
 
-    One light-cone kernel run to time T-1: step t updates only the sites
+    One light-cone kernel run to time T-1: step t needs only the sites
     |x| <= min(t-1, xmax+T-t) that can still reach the window, and only those
-    with x + t even.  Each parity of t has its own running sum over the
+    with x + t even (a run of kernel steps updates a few more, which cannot
+    reach it).  Each parity of t has its own running sum over the
     kernel's xmax + 1 compact window columns.  The windows of consecutive
     steps are copied whole into a block, no larger than one kernel buffer,
     whose measures are squared and summed in one call each.  The block's rows

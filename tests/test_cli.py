@@ -342,6 +342,7 @@ VERIFY_RECORDS = [
     ("spectral closure residue-sum gap (10-point grid)", 1e-12),
     ("stationary coincidence", 1e-12),
     ("CMV-form equality", 1e-14),
+    ("kernel vs step loop (T=200)", 0.0),
     ("limit vs simulation (T=2000)", 2e-2),
 ]
 
@@ -350,7 +351,7 @@ def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = [line for line in out.strip().split("\n") if line.startswith("[")]
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("[ok") for line in lines)
     names = []
     for line in lines:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectwalk import walk
-from defectwalk.walk import _INV_SQRT2, DomainError, WalkParams
+from defectwalk.walk import _INV_SQRT2, _INV_SQRT2_0D, DomainError, WalkParams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -267,13 +267,17 @@ def test_reciprocal_scaling_matches_numpy_division():
     # The kernel multiplies float64 views by _INV_SQRT2 where ``step`` divides
     # by SQRT2.  That is bit-identical only because NumPy divides a complex by
     # a real as (re + im*0) * (1/s) and (im - re*0) * (1/s); if a NumPy
-    # release changes its division, this names the cause.
+    # release changes its division, this names the cause.  The kernel passes
+    # the scale as a 0-d array, so that operand is checked too: if a release
+    # treats a 0-d operand unlike a Python float, this names the cause.
     rng = np.random.default_rng(3)
     z = rng.normal(size=10**6) + 1j * rng.normal(size=10**6)
     for scale in (1.0, 1e-300, 1e300, 1e-310):  # the last is subnormal
         zs = z * scale
-        got = (zs.view(np.float64) * _INV_SQRT2).view(complex)
-        assert np.array_equal(got, zs / walk.SQRT2)
+        expected = zs / walk.SQRT2
+        for inv in (_INV_SQRT2, _INV_SQRT2_0D):
+            got = (zs.view(np.float64) * inv).view(complex)
+            assert np.array_equal(got, expected)
 
 
 def test_accumulate_matches_loop_sum():
@@ -316,6 +320,23 @@ def test_kernel_matches_step_loop_property(state, phi, T, xmax):
     mu = walk.time_average(params, T, xmax)
     expected = sums[T][pad - xmax : pad + xmax + 1] / T
     assert np.max(np.abs(mu.values - expected)) == 0.0
+
+
+def test_kernel_matches_step_loop_with_subnormals():
+    # From t ~ 2100 the outer amplitudes of the light cone are subnormal, so
+    # the kernel multiplies subnormals, which the tests up to T = 999 never
+    # do; T = 2300 also crosses about 70 runs of kernel passes.
+    T = 2300
+    params = _random_params(0.3, seed=23)
+    states, sums = _step_reference(params, {T}, T)
+    got = walk.evolve(params, T)
+    floats = np.abs(got.amps.view(np.float64))
+    assert np.any((floats > 0) & (floats < np.finfo(float).tiny))
+    assert np.max(np.abs(got.amps - states[T].amps)) == 0.0
+    for xmax in (0, 5, T):
+        mu = walk.time_average(params, T, xmax)
+        expected = sums[T][T - xmax : T + xmax + 1] / T
+        assert np.max(np.abs(mu.values - expected)) == 0.0
 
 
 @pytest.mark.parametrize("xmax", (0, 1, 5, 40))
