@@ -13,10 +13,13 @@ w = sqrt(2)*cos(a) = C + eta*S (C = cos(2*pi*phi), S = sin(2*pi*phi)), and
 projects the coin state onto alpha - eta*i*beta.  ``_families`` lists the
 families that carry mass, each with a geometric rate below 1, so ``mu_inf``,
 ``mu_inf_origin``, ``total_point_mass`` and ``asymptotic_psi_origin`` read
-it with no zero-mass guard.  Every caller evaluates a profile over many
-sites for one (phi, state), so the table is memoized: it is built once per
-(phi, alpha, beta), and only a build checks the coin state.  Each public
-function still checks phi on every call.
+it with no zero-mass guard.  A row is (eta, w, mu, pref, rate): the label,
+the energy, the origin mass and the two site-independent factors of the
+tail, pref = 2 - w and rate = 1/(3 - 2w).  Every caller evaluates a profile
+over many sites for one (phi, state), so the table is memoized: it is built
+once per (phi, alpha, beta), and only a build checks the coin state.  Each
+public function still checks phi on every call, and a site x through the
+one site-index rule ``walk._site_index``.
 
 ``cgmv_limit_origin`` and ``stationary_measure`` do not read the table: they
 spell the two energies inline as C +- S.  The CMV-equality check compares the
@@ -34,12 +37,22 @@ import math
 
 import numpy as np
 
-from .walk import SQRT2, DomainError, _check_phi, _check_state, _time_index
+from .walk import SQRT2, DomainError, _check_phi, _check_state, _site_index, _time_index
 
 # eta -> the open phi interval where family eta carries mass.  At each end
 # its energy w is 1, where the weight ((1 - w)/(3 - 2w))^2 vanishes, so the
 # choice of open over closed intervals does not change any value.
 _FAMILIES = {-1: (0.0, 0.75), 1: (0.25, 1.0)}
+
+# largest exponent of a geometric rate: the largest float rate below 1 is
+# 1 - 2^-53, and its 2^63-th power is about e^-1024, below the smallest
+# float, so capping |x| here changes no value, and an |x| too large for a
+# float gives 0.0 rather than an OverflowError
+_EXPONENT_CAP = 2**63
+
+# largest n of asymptotic_psi_origin: its phase error n*2^-53 stays at or
+# below 2^-20 < 1e-6 rad
+_MAX_N = 2**33
 
 
 def _in_family(phi: float, eta: int) -> bool:
@@ -55,9 +68,11 @@ def _angle(phi: float, eta: int) -> float:
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _families(phi: float, alpha: complex, beta: complex) -> tuple:
-    """(eta, w, mu) for each family that carries mass: its energy w < 1 and
-    its point mass mu = ((1 - w)/(3 - 2w))^2 |alpha - eta i beta|^2 > 0 at
-    the origin.  Each listed family's geometric rate 1/(3 - 2w) is below 1.
+    """(eta, w, mu, pref, rate) for each family that carries mass: its
+    energy w < 1, its point mass mu = ((1 - w)/(3 - 2w))^2 |alpha - eta i beta|^2
+    > 0 at the origin, and the site-independent factors pref = 2 - w and
+    rate = 1/(3 - 2w) of its tail, so a caller forms them once per table, not
+    once per site.  Each listed family's geometric rate is below 1.
 
     In exact arithmetic w < 1 inside the family's interval, but w -> 1 as
     phi -> 0 or 1, and the eta = -1 energy rounds to 1 or above for phi
@@ -76,7 +91,7 @@ def _families(phi: float, alpha: complex, beta: complex) -> tuple:
         w = SQRT2 * math.cos(_angle(phi, eta))
         mu = ((1 - w) / (3 - 2 * w)) ** 2 * abs(alpha - eta * 1j * beta) ** 2
         if w < 1 and mu > 0:
-            table.append((eta, w, mu))
+            table.append((eta, w, mu, 2 - w, 1 / (3 - 2 * w)))
     return tuple(table)
 
 
@@ -89,16 +104,23 @@ def mu_inf(x: int, phi: float, alpha: complex, beta: complex) -> float:
     """Time-averaged limit measure at site x: two geometric profiles.
 
     Family eta puts its origin mass mu at x = 0 and (2 - w) mu / (3 - 2w)^|x|
-    at x != 0, so the measure is symmetric in x <-> -x.  Only families that
-    carry mass are listed, and their rates are below 1, so the power cannot
-    overflow at large |x|.
+    at x != 0, so the measure is symmetric in x <-> -x.  x is any integer
+    (``_site_index``).  Only families that carry mass are listed, and their
+    rates are below 1, so the power cannot overflow at large |x|; the
+    exponent is capped at ``_EXPONENT_CAP``, where every such power is
+    already 0.0, so an |x| beyond float range gives 0.0 too.
     """
     _check_phi(phi)
+    x = abs(_site_index(x))
     total = 0.0
-    for _, w, mu in _families(phi, alpha, beta):
-        if x != 0:
-            mu *= (2 - w) * (1 / (3 - 2 * w)) ** abs(x)
-        total += mu
+    if x == 0:
+        for _, _, mu, _, _ in _families(phi, alpha, beta):
+            total += mu
+        return total
+    if x > _EXPONENT_CAP:
+        x = _EXPONENT_CAP
+    for _, _, mu, pref, rate in _families(phi, alpha, beta):
+        total += mu * (pref * rate ** x)
     return total
 
 
@@ -110,10 +132,9 @@ def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
     """
     _check_phi(phi)
     families = _families(phi, alpha, beta)
-    total = sum((mu for _, _, mu in families), 0.0)
-    for _, w, mu in families:
-        rate = 1 / (3 - 2 * w)
-        total += 2 * (2 - w) * rate / (1 - rate) * mu
+    total = sum((mu for _, _, mu, _, _ in families), 0.0)
+    for _, _, mu, pref, rate in families:
+        total += 2 * pref * rate / (1 - rate) * mu
     return total
 
 
@@ -127,14 +148,21 @@ def asymptotic_psi_origin(
     theta0 per step: e^{i theta0} = (-(1-w)^2 + i (2-w) sqrt(2) sin a)/(3-2w)
     is a root of 1 + (2(1-w)^2/(3-2w)) u + u^2.  Spelled through the family
     angle a, sqrt(2 - w^2) = sqrt(2)|sin a| does not cancel as w -> -sqrt(2).
+
+    The phase n*theta0 carries an error of about n*2^-53 rad from the
+    rounding of theta0, so n is capped at ``_MAX_N`` = 2^33, where that
+    error is at most 2^-20 < 1e-6 rad; a larger n is a DomainError.
     """
     _check_phi(phi)
     n = _time_index(n)
+    if n > _MAX_N:
+        raise DomainError(f"n must be <= {_MAX_N}, where the phase error "
+                          f"n*2**-53 stays below 1e-6 rad")
     psi_l = 0j
     psi_r = 0j
-    for eta, w, _ in _families(phi, alpha, beta):
+    for eta, w, _, pref, _ in _families(phi, alpha, beta):
         # atan2 ignores the common factor 1/(3 - 2w) > 0
-        ang = n * math.atan2((2 - w) * SQRT2 * math.sin(_angle(phi, eta)), -(1 - w) ** 2)
+        ang = n * math.atan2(pref * SQRT2 * math.sin(_angle(phi, eta)), -(1 - w) ** 2)
         osc = complex(math.cos(ang), math.sin(ang))
         term = (alpha - eta * 1j * beta) * ((1 - w) / (3 - 2 * w)) * osc
         psi_l += term
@@ -166,9 +194,11 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
     a rate that rounds to 1 or above inside it (minus at phi below ~8.8e-18),
     so the interval ends, where C or S rounds to a few 1e-16, cannot pass
     for decaying.  With the rate below 1 the largest value is 2|alpha|^2 at
-    the origin, so that must be finite.
+    the origin, so that must be finite.  x is any integer (``_site_index``),
+    and the exponent is capped as in ``mu_inf``.
     """
     _check_phi(phi)
+    x = abs(_site_index(x))
     if not 0 < 2 * alpha_mod2 < math.inf:
         raise DomainError(f"2*alpha_mod2 must be finite and > 0, got {alpha_mod2}")
     eta = _branch_eta(branch)
@@ -184,7 +214,7 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
                           f"its rate 1/(3 - 2C -+ 2S) is {rate}, not below 1")
     if x == 0:
         return 2 * alpha_mod2
-    return 2 * alpha_mod2 * rate ** abs(x) * gamma
+    return 2 * alpha_mod2 * rate ** min(x, _EXPONENT_CAP) * gamma
 
 
 def compare_stationary_timeavg(phi: float, branch: str) -> float:

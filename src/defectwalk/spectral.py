@@ -13,8 +13,9 @@ coefficient.
 Each singular-point quantity has one route and one spelling:
 ``singular_points`` computes w once per call and sqrt(z^4 + 1) and f(z) once
 per point, and forms the gate's |L0|, lambda and dL0/dz from them, as
-``lambda_sq`` and ``residue_prefactor`` = 1/|dL0/dz|^2; ``residue_norms``
-reads the prefactor from the points.  The private helpers ``_phase``,
+``lambda_sq`` and ``residue_prefactor`` = 1/|dL0/dz|^2, each point a
+``SpectralPoint`` NamedTuple built positionally; ``residue_norms`` reads the
+prefactor from the points.  The private helpers ``_phase``,
 ``_root``, ``_f`` and ``_l0`` are the formulas that ``f_tilde``,
 ``big_lambda0`` and ``xi_tilde0_series`` share with it.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +35,9 @@ from .walk import SQRT2, DomainError, _check_phi, _check_state
 _ROOT_FAMILIES = {"eps_plus": (1, 0.0, 0.75), "eps_minus": (-1, 0.25, 1.0)}
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One unit-circle zero of L0 and its residue data.
+class SpectralPoint(NamedTuple):
+    """One unit-circle zero of L0 and its residue data, an immutable
+    NamedTuple of (theta_s, branch, lambda_sq, residue_prefactor).
 
     ``branch`` is "eps_plus:+", "eps_plus:-", "eps_minus:+" or "eps_minus:-"
     (root family and sign of the antipodal pair).  ``lambda_sq`` is the
@@ -61,8 +62,13 @@ def _phase(phi: float) -> complex:
 
 
 def _root(z: complex) -> complex:
-    """Principal sqrt(z^4 + 1) of a complex z."""
-    return cmath.sqrt(z ** 4 + 1)
+    """Principal sqrt(z^4 + 1) of a complex z.
+
+    z^4 is formed as (z*z)*(z*z), the two squarings that CPython's complex
+    ``z ** 4`` makes, without its generic power dispatch.
+    """
+    z2 = z * z
+    return cmath.sqrt(z2 * z2 + 1)
 
 
 def _f(z: complex, root: complex) -> complex:
@@ -115,7 +121,7 @@ def singular_points(phi: float) -> list:
         den = math.sqrt(3 - 2 * SQRT2 * math.cos(eps))
         c = math.sin(eps) / den
         s = (math.cos(eps) - SQRT2) / den
-        for pm, cos_s, sin_s in (("+", c, s), ("-", -c, -s)):
+        for branch, cos_s, sin_s in ((f"{name}:+", c, s), (f"{name}:-", -c, -s)):
             theta = math.atan2(sin_s, cos_s)
             z = cmath.exp(1j * theta)
             root = _root(z)
@@ -124,15 +130,13 @@ def singular_points(phi: float) -> list:
             if resid > 1e-10:
                 raise ArithmeticError(
                     f"singular point failed to converge: |L0| = {resid:.3e} "
-                    f"at phi={phi}, branch {name}{pm}"
+                    f"at phi={phi}, branch {branch.replace(':', '')}"
                 )
             # dL0/dz = (-sqrt(2) w + 2 w^2 f) f'(z), where
             # f'(z) = sqrt(2) z (1 - z^2 / sqrt(z^4 + 1))
             dl0 = (-SQRT2 * w + 2 * w * w * f) * (SQRT2 * z * (1 - z * z / root))
             points.append(SpectralPoint(
-                theta_s=theta, branch=f"{name}:{pm}",
-                lambda_sq=abs(z / (f - SQRT2)) ** 2,
-                residue_prefactor=1 / abs(dl0) ** 2))
+                theta, branch, abs(z / (f - SQRT2)) ** 2, 1 / abs(dl0) ** 2))
     return points
 
 

@@ -74,6 +74,15 @@ def _time_index(n) -> int:
     return n
 
 
+def _site_index(x) -> int:
+    """The one domain rule for a site index: any integer x (NumPy integers
+    too), returned as an int; nan, inf, 2.5, 3.0 and "3" are refused."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"x must be an integer, got {x!r}") from None
+
+
 def _is_normalized(norm_sq: float) -> bool:
     """The one normalization rule for a coin state: |alpha|^2 + |beta|^2
     within 1e-12 of 1."""

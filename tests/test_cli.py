@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from defectwalk import cli, limits, series, walk
+from defectwalk import cli, limits, series, spectral, walk
 from test_series import _sqrt1z4_fraction_reference
 
 
@@ -456,6 +456,35 @@ def test_singular_point_gate_failure_is_verify_error(capsys, phi):
     assert code == cli.VERIFY_ERROR
     assert out == ""
     assert err.startswith("error: singular point failed to converge")
+
+
+def test_singular_point_gate_message(capsys):
+    # the whole line is pinned but |L0|, which a better-conditioned gate
+    # will change
+    code, out, err = run(capsys, "spectrum", "--phi", "0.2500001")
+    assert code == cli.VERIFY_ERROR
+    assert out == ""
+    assert re.fullmatch(
+        r"error: singular point failed to converge: \|L0\| = \d\.\d{3}e-\d\d "
+        r"at phi=0\.2500001, branch eps_minus-\n", err)
+
+
+@pytest.mark.parametrize("phi", ["0.3", "1/2"])
+def test_spectrum_equals_library(capsys, phi):
+    # JSON round-trips every double, so the payload must equal the library
+    # values exactly
+    alpha, beta = complex(0.36, 0.48), complex(0.64, -0.48)
+    code, out, err = run(capsys, "spectrum", "--phi", phi,
+                         "--alpha", "0.36,0.48", "--beta", "0.64,-0.48")
+    assert code == 0, err
+    pts = spectral.singular_points(cli.parse_phi(phi))
+    norms = spectral.residue_norms(pts, cli.parse_phi(phi), alpha, beta)
+    assert pts
+    assert json.loads(out) == [
+        {"branch": pt.branch, "lambda_sq": pt.lambda_sq, "residue_norm": norm,
+         "residue_prefactor": pt.residue_prefactor, "theta_s": pt.theta_s}
+        for pt, norm in zip(pts, norms)
+    ]
 
 
 @pytest.mark.parametrize("phi", ["0.3", "1/2"])

@@ -1,7 +1,8 @@
 """One domain rule for the defect phase: every function that takes phi
 rejects anything outside [0, 1), NaN and +-inf included, with DomainError.
 Likewise one rule for the coin state: every function that takes (alpha, beta)
-rejects a non-finite or non-normalized state with DomainError."""
+rejects a non-finite or non-normalized state with DomainError, and one rule
+for a site index: every function that takes a site x rejects a non-integer."""
 
 import ast
 import importlib
@@ -74,6 +75,20 @@ def test_state_outside_domain_is_domain_error(name, alpha, beta):
     for _ in range(2):
         with pytest.raises(DomainError, match="initial coin state"):
             STATE_TAKERS[name](alpha, beta)
+
+
+SITE_TAKERS = {
+    "mu_inf": lambda x: limits.mu_inf(x, 0.3, A, B),
+    "stationary_measure": lambda x: limits.stationary_measure(x, 0.3, 0.5, "plus"),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 2.5, 3.0, "3"])
+@pytest.mark.parametrize("name", sorted(SITE_TAKERS))
+def test_site_outside_domain_is_domain_error(name, x):
+    # one rule for a site index (walk._site_index): an integer, NumPy ones too
+    with pytest.raises(DomainError, match="x must be an integer"):
+        SITE_TAKERS[name](x)
 
 
 def test_no_assert_in_src():

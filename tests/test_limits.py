@@ -54,6 +54,24 @@ def test_mu_inf_far_sites():
     assert limits.mu_inf(-500, 0.125, 0.6, 0.8j) == limits.mu_inf(500, 0.125, 0.6, 0.8j)
 
 
+@pytest.mark.parametrize("phi", [0.1, 0.3, 0.5, 0.9])
+def test_site_index_spellings(phi):
+    # a NumPy integer gives the int's value; an |x| beyond float range gives
+    # the exact answer, which underflows to 0.0, not an OverflowError
+    a, b = 0.6, 0.8j
+    origin = limits.mu_inf(0, phi, a, b)
+    assert limits.mu_inf(np.int64(3), phi, a, b) == limits.mu_inf(3, phi, a, b)
+    assert limits.mu_inf(np.int64(0), phi, a, b) == origin
+    for x in (10**400, -(10**400), 2**63, 2**64):
+        assert limits.mu_inf(x, phi, a, b) == 0.0 < origin
+    branch = "minus" if phi < 0.5 else "plus"
+    st_origin = limits.stationary_measure(0, phi, 0.5, branch)
+    assert limits.stationary_measure(np.int64(3), phi, 0.5, branch) == (
+        limits.stationary_measure(3, phi, 0.5, branch))
+    for x in (10**400, -(10**400)):
+        assert limits.stationary_measure(x, phi, 0.5, branch) == 0.0 < st_origin
+
+
 def test_mu_inf_vanishes_for_homogeneous_coin():
     for x in range(-4, 5):
         assert limits.mu_inf(x, 0.0, 1 / SQRT2, 1j / SQRT2) == 0.0
@@ -163,6 +181,18 @@ def test_asymptotic_requires_positive_n():
             limits.asymptotic_psi_origin(n, 0.5, 1.0, 0.0)
     assert limits.asymptotic_psi_origin(np.int64(7), 0.3, 0.6, 0.8j) == (
         limits.asymptotic_psi_origin(7, 0.3, 0.6, 0.8j))
+
+
+def test_asymptotic_n_cap():
+    # beyond 2**33 the phase error n*2**-53 passes 1e-6 rad, so such an n is
+    # refused, 10**400 included, rather than answered with no right digit
+    cap = limits._MAX_N
+    assert cap == 2**33 and cap * 2.0**-53 < 1e-6
+    for n in (cap, np.int64(cap)):
+        assert all(math.isfinite(v) for v in limits.asymptotic_psi_origin(n, 0.3, 0.6, 0.8j))
+    for n in (cap + 1, np.int64(cap + 1), 2**60, 10**400):
+        with pytest.raises(DomainError, match=r"n must be <= 8589934592"):
+            limits.asymptotic_psi_origin(n, 0.3, 0.6, 0.8j)
 
 
 def _return_limit(phi, eta):

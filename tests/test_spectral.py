@@ -285,6 +285,32 @@ def test_singular_points_equal_public_helper_spelling(phi):
         assert g.residue_prefactor == r.residue_prefactor
 
 
+def test_spectral_point_is_immutable():
+    pt = spectral.singular_points(0.3)[0]
+    for name in ("theta_s", "branch", "lambda_sq", "residue_prefactor"):
+        with pytest.raises(AttributeError):
+            setattr(pt, name, 0.0)
+
+
+@pytest.mark.parametrize("phi", [0.1, 0.3, 0.5, 0.9])
+def test_root_formed_once_per_point(phi, monkeypatch):
+    # the module docstring's "sqrt(z^4 + 1) once per point", for the gate
+    # and for the residue norms alike
+    calls = []
+    root = spectral._root
+
+    def counting_root(z):
+        calls.append(z)
+        return root(z)
+
+    monkeypatch.setattr(spectral, "_root", counting_root)
+    pts = spectral.singular_points(phi)
+    assert pts and len(calls) == len(pts)
+    calls.clear()
+    spectral.residue_norms(pts, phi, 0.6, 0.8j)
+    assert len(calls) == len(pts)
+
+
 def test_residue_norms_equal_public_helper_spelling():
     rng = np.random.default_rng(31)
     for phi in _VERIFY_GRID + _SEEDED_PHIS:
