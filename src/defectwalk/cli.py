@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import limits, series, spectral, walk
-from .walk import SQRT2, DomainError, WalkParams, _is_normalized, _norm_sq
+from .walk import SQRT2, DomainError, WalkParams, _index, _is_normalized, _norm_sq
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -103,9 +103,8 @@ _INT_FLAG_LEAST = {"steps": 0, "T": 1, "xmax": 0, "order": 0}
 
 def _check_int_flags(args) -> None:
     for name, least in _INT_FLAG_LEAST.items():
-        value = getattr(args, name, least)  # least where the command lacks it
-        if value < least:
-            raise DomainError(f"--{name} must be >= {least}, got {value}")
+        # least where the command lacks the flag
+        _index(getattr(args, name, least), f"--{name}", least)
 
 
 def _emit(lines, out_path):

@@ -18,8 +18,8 @@ the energy, the origin mass and the two site-independent factors of the
 tail, pref = 2 - w and rate = 1/(3 - 2w).  Every caller evaluates a profile
 over many sites for one (phi, state), so the table is memoized: it is built
 once per (phi, alpha, beta), and only a build checks the coin state.  Each
-public function still checks phi on every call, and a site x through the
-one site-index rule ``walk._site_index``.
+public function still checks phi on every call, and an integer argument
+through the one integer rule ``walk._index``.
 
 ``cgmv_limit_origin`` and ``stationary_measure`` do not read the table: they
 spell the two energies inline as C +- S.  The CMV-equality check compares the
@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .walk import SQRT2, DomainError, _check_phi, _check_state, _site_index, _time_index
+from .walk import SQRT2, DomainError, _check_phi, _check_state, _index
 
 # eta -> the open phi interval where family eta carries mass.  At each end
 # its energy w is 1, where the weight ((1 - w)/(3 - 2w))^2 vanishes, so the
@@ -105,13 +105,13 @@ def mu_inf(x: int, phi: float, alpha: complex, beta: complex) -> float:
 
     Family eta puts its origin mass mu at x = 0 and (2 - w) mu / (3 - 2w)^|x|
     at x != 0, so the measure is symmetric in x <-> -x.  x is any integer
-    (``_site_index``).  Only families that carry mass are listed, and their
+    (``_index``).  Only families that carry mass are listed, and their
     rates are below 1, so the power cannot overflow at large |x|; the
     exponent is capped at ``_EXPONENT_CAP``, where every such power is
     already 0.0, so an |x| beyond float range gives 0.0 too.
     """
     _check_phi(phi)
-    x = abs(_site_index(x))
+    x = abs(_index(x, "x"))
     total = 0.0
     if x == 0:
         for _, _, mu, _, _ in _families(phi, alpha, beta):
@@ -151,13 +151,11 @@ def asymptotic_psi_origin(
 
     The phase n*theta0 carries an error of about n*2^-53 rad from the
     rounding of theta0, so n is capped at ``_MAX_N`` = 2^33, where that
-    error is at most 2^-20 < 1e-6 rad; a larger n is a DomainError.
+    error is at most 2^-20 < 1e-6 rad: n is an integer in 1 .. _MAX_N
+    (``_index``), and a larger n is a DomainError.
     """
     _check_phi(phi)
-    n = _time_index(n)
-    if n > _MAX_N:
-        raise DomainError(f"n must be <= {_MAX_N}, where the phase error "
-                          f"n*2**-53 stays below 1e-6 rad")
+    n = _index(n, "n", 1, _MAX_N)
     psi_l = 0j
     psi_r = 0j
     for eta, w, _, pref, _ in _families(phi, alpha, beta):
@@ -194,11 +192,11 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
     a rate that rounds to 1 or above inside it (minus at phi below ~8.8e-18),
     so the interval ends, where C or S rounds to a few 1e-16, cannot pass
     for decaying.  With the rate below 1 the largest value is 2|alpha|^2 at
-    the origin, so that must be finite.  x is any integer (``_site_index``),
+    the origin, so that must be finite.  x is any integer (``_index``),
     and the exponent is capped as in ``mu_inf``.
     """
     _check_phi(phi)
-    x = abs(_site_index(x))
+    x = abs(_index(x, "x"))
     if not 0 < 2 * alpha_mod2 < math.inf:
         raise DomainError(f"2*alpha_mod2 must be finite and > 0, got {alpha_mod2}")
     eta = _branch_eta(branch)

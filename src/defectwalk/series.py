@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .walk import DomainError, WalkParams, _time_index
+from .walk import WalkParams, _index
 
 
 def _sqrt1z4_ratios(N: int) -> list:
@@ -51,7 +51,7 @@ def rstar(n: int) -> Fraction:
     triple-equivalence tests pin it against both the series expansion and
     the exact first-passage path sum.
     """
-    n = _time_index(n)
+    n = _index(n, "n", 1)
     if n == 1:
         return Fraction(-1)
     if n % 4 != 3:
@@ -77,8 +77,7 @@ def first_return_series(N: int) -> tuple:
     that of z^(n+1) in sqrt(1 + z^4).  Returns N + 1 Fractions.  The mirror
     half-line series is the coefficientwise negation.
     """
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
+    N = _index(N, "N", 0)
     out = [Fraction(0)] * (N + 1)  # nonzero only at n = 4k - 1
     out[3::4] = [Fraction(num, den) for num, den in _sqrt1z4_ratios(N + 1)[1:]]
     return tuple(out)
@@ -103,10 +102,7 @@ def path_oracle_coefficients(n: int) -> tuple:
     orthonormal basis {P, Q, R, S} under <A|B> = tr(A* B); returns the four
     coefficients (p, q, r, s) as exact rationals.
     """
-    if not 1 <= n <= PATH_ORACLE_MAX_N:
-        raise DomainError(
-            f"path oracle supports 1 <= n <= {PATH_ORACLE_MAX_N}, got {n}"
-        )
+    n = _index(n, "n", 1, PATH_ORACLE_MAX_N)
     if n % 2 == 0:
         # a path from 1 to 0 has odd length; the matrix sum is empty
         return (Fraction(0),) * 4
@@ -212,8 +208,7 @@ def psi_origin_sequence(nmax: int, params: WalkParams) -> list:
     two scalar power-series reciprocals.  Returns nmax + 1 coin 2-vectors,
     indexed by n; the n = 0 vector is exactly (alpha, beta).
     """
-    if nmax < 0:
-        raise DomainError(f"nmax must be >= 0, got {nmax}")
+    nmax = _index(nmax, "nmax", 0)
     c = params.omega * _renewal_coefficients(nmax) / 2.0
     psi = np.zeros((nmax + 1, 2), dtype=complex)
     for eta in (1, -1):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .series import _series_reciprocal, _sqrt1z4_ratios
-from .walk import SQRT2, DomainError, _check_phi, _check_state
+from .walk import SQRT2, _check_disk, _check_phi, _check_state, _index
 
 # root family -> (sign of pi/4 in its angle eps, open phi interval of its zeros)
 _ROOT_FAMILIES = {"eps_plus": (1, 0.0, 0.75), "eps_minus": (-1, 0.25, 1.0)}
@@ -85,9 +85,12 @@ def f_tilde(z: complex) -> complex:
     """f(z) = (z^2 + 1 - sqrt(z^4 + 1)) / sqrt(2), principal branch from f(0)=0.
 
     The principal square root is continuous on the closed unit disk except at
-    the four branch points z^4 = -1, where z^4 + 1 vanishes.
+    the four branch points z^4 = -1, where z^4 + 1 vanishes.  z must lie in
+    that disk (``_check_disk``): beyond it z^2 + 1 - sqrt(z^4 + 1) cancels,
+    so the result has no right digit by |z| = 1e8, and z^4 overflows to NaN
+    parts by |z| = 1e77.
     """
-    z = complex(z)
+    z = _check_disk(z)
     return _f(z, _root(z))
 
 
@@ -156,8 +159,10 @@ def residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> li
     w = _phase(phi)
     out = []
     for pt in points:
-        # numerator vector of the at-origin resolvent applied to the state
-        g = w * f_tilde(pt.z) / SQRT2
+        # numerator vector of the at-origin resolvent applied to the state;
+        # pt.z lies on the unit circle, so f is formed with no disk check
+        z = pt.z
+        g = w * _f(z, _root(z)) / SQRT2
         n1, n2 = alpha * (1 - g) - beta * g, alpha * g + beta * (1 - g)
         out.append((abs(n1) ** 2 + abs(n2) ** 2) * pt.residue_prefactor)
     return out
@@ -180,8 +185,7 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     0.0.
     """
     _check_phi(phi)
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
+    N = _index(N, "N", 0)
     n = N // 2 + 1  # coefficients of u^0 .. u^(N//2)
     s4 = np.zeros(n)
     s4[::2] = [num / den for num, den in _sqrt1z4_ratios(N)]

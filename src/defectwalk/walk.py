@@ -62,25 +62,29 @@ def _check_phi(phi: float) -> None:
         raise DomainError(f"phi must lie in [0, 1), got {phi}")
 
 
-def _time_index(n) -> int:
-    """The one domain rule for a time index: an integer n >= 1 (NumPy
-    integers too), returned as an int; nan, inf, 2.5 and 3.0 are refused."""
+def _index(value, name: str, least=None, most=None) -> int:
+    """The one domain rule for an integer argument, a site, time, count or
+    order: ``operator.index`` accepts ints, NumPy integers and bools, and the
+    value is returned as an int within [least, most] (either bound may be
+    None); nan, inf, 2.5, 3.0 and "3" are refused."""
     try:
-        n = operator.index(n)
+        value = operator.index(value)
     except TypeError:
-        raise DomainError(f"n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return n
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise DomainError(f"{name} must be <= {most}, got {value}")
+    return value
 
 
-def _site_index(x) -> int:
-    """The one domain rule for a site index: any integer x (NumPy integers
-    too), returned as an int; nan, inf, 2.5, 3.0 and "3" are refused."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise DomainError(f"x must be an integer, got {x!r}") from None
+def _check_disk(z: complex) -> complex:
+    """The one domain rule for a point z of the closed unit disk, returned as
+    a complex.  The parts are compared first, so ``abs`` cannot overflow."""
+    z = complex(z)
+    if not (abs(z.real) <= 1 and abs(z.imag) <= 1 and abs(z) <= 1):
+        raise DomainError(f"z must lie in the closed unit disk |z| <= 1, got {z}")
+    return z
 
 
 def _is_normalized(norm_sq: float) -> bool:
@@ -162,7 +166,7 @@ class WalkState:
 
     def amplitude(self, x: int) -> np.ndarray:
         """Amplitude pair at site x (zero outside the stored support)."""
-        i = x - self.offset
+        i = _index(x, "x") - self.offset
         if 0 <= i < len(self.amps):
             return self.amps[i].copy()
         return np.zeros(2, dtype=complex)
@@ -179,7 +183,7 @@ class Measure:
     values: np.ndarray
 
     def at(self, x: int) -> float:
-        i = x - self.offset
+        i = _index(x, "x") - self.offset
         if 0 <= i < len(self.values):
             return float(self.values[i])
         return 0.0
@@ -309,8 +313,7 @@ def evolve(params: WalkParams, n: int) -> WalkState:
     (x + n odd) is an exact zero; ``step`` is the one-step reference it
     reproduces exactly.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = _index(n, "n", 0)
     for amps in _light_cone(params, n, n):
         pass
     out = np.zeros((2 * n + 1, 2), dtype=complex)
@@ -343,10 +346,8 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     ``step`` loop bit for bit.  The sum of the one column outside the window
     is dropped.
     """
-    if T < 1:
-        raise DomainError(f"T must be >= 1, got {T}")
-    if xmax < 0:
-        raise DomainError(f"xmax must be >= 0, got {xmax}")
+    T = _index(T, "T", 1)
+    xmax = _index(xmax, "xmax", 0)
     n = T - 1
     a = (xmax + 1) // 2  # window column of the origin
     rows = (max(n, xmax) + 1) // (xmax + 1)  # steps per block

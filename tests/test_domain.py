@@ -1,18 +1,23 @@
 """One domain rule for the defect phase: every function that takes phi
 rejects anything outside [0, 1), NaN and +-inf included, with DomainError.
 Likewise one rule for the coin state: every function that takes (alpha, beta)
-rejects a non-finite or non-normalized state with DomainError, and one rule
-for a site index: every function that takes a site x rejects a non-integer."""
+rejects a non-finite or non-normalized state with DomainError; one rule for
+an integer argument (walk._index): every site, time, count or order rejects a
+non-integer and a value outside its bounds; and one rule for a point z of the
+closed unit disk (walk._check_disk)."""
 
+import argparse
 import ast
+import cmath
 import importlib
 import inspect
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from defectwalk import limits, spectral
+from defectwalk import cli, limits, series, spectral, walk
 from defectwalk.walk import DomainError, WalkParams
 
 A, B = 0.6, 0.8j
@@ -77,18 +82,101 @@ def test_state_outside_domain_is_domain_error(name, alpha, beta):
             STATE_TAKERS[name](alpha, beta)
 
 
-SITE_TAKERS = {
-    "mu_inf": lambda x: limits.mu_inf(x, 0.3, A, B),
-    "stationary_measure": lambda x: limits.stationary_measure(x, 0.3, 0.5, "plus"),
+P = WalkParams(phi=0.3, alpha=A, beta=B)
+MEASURE = walk.Measure(offset=-2, values=np.arange(5.0))
+
+# every caller of the integer rule: name -> (call, parameter, least, most)
+INDEX_TAKERS = {
+    "evolve": (lambda n: walk.evolve(P, n), "n", 0, None),
+    "time_average T": (lambda T: walk.time_average(P, T, 2), "T", 1, None),
+    "time_average xmax": (lambda x: walk.time_average(P, 10, x), "xmax", 0, None),
+    "Measure.at": (MEASURE.at, "x", None, None),
+    "WalkState.amplitude": (walk.evolve(P, 2).amplitude, "x", None, None),
+    "rstar": (series.rstar, "n", 1, None),
+    "first_return_series": (series.first_return_series, "N", 0, None),
+    "rstar_series": (series.rstar_series, "N", 0, None),
+    "path_oracle_coefficients": (
+        series.path_oracle_coefficients, "n", 1, series.PATH_ORACLE_MAX_N),
+    "path_oracle_first_return": (
+        series.path_oracle_first_return, "n", 1, series.PATH_ORACLE_MAX_N),
+    "psi_origin_sequence": (lambda n: series.psi_origin_sequence(n, P), "nmax", 0, None),
+    "xi_tilde0_series": (lambda N: spectral.xi_tilde0_series(0.3, N), "N", 0, None),
+    "mu_inf": (lambda x: limits.mu_inf(x, 0.3, A, B), "x", None, None),
+    "stationary_measure": (
+        lambda x: limits.stationary_measure(x, 0.3, 0.5, "plus"), "x", None, None),
+    "asymptotic_psi_origin": (
+        lambda n: limits.asymptotic_psi_origin(n, 0.3, A, B), "n", 1, limits._MAX_N),
+    "cli --T": (lambda T: cli._check_int_flags(argparse.Namespace(T=T)), "--T", 1, None),
+}
+
+NON_INTEGERS = [math.nan, math.inf, 2.5, 3.0, "3"]
+# the site takers keep the test name that the site rule had, so their ids stay
+SITE_TAKERS = sorted(name for name, row in INDEX_TAKERS.items() if row[1] == "x")
+
+
+def _refuses_non_integer(name, value):
+    call, param, _, _ = INDEX_TAKERS[name]
+    with pytest.raises(DomainError, match=f"^{param} must be an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("x", NON_INTEGERS)
+@pytest.mark.parametrize("name", SITE_TAKERS)
+def test_site_outside_domain_is_domain_error(name, x):
+    _refuses_non_integer(name, x)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+@pytest.mark.parametrize("name", sorted(set(INDEX_TAKERS) - set(SITE_TAKERS)))
+def test_non_integer_is_domain_error(name, value):
+    _refuses_non_integer(name, value)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, row in INDEX_TAKERS.items() if row[2] is not None))
+def test_below_least_is_domain_error(name):
+    call, param, least, _ = INDEX_TAKERS[name]
+    with pytest.raises(DomainError, match=f"^{param} must be >= {least}, got {least - 1}$"):
+        call(least - 1)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, row in INDEX_TAKERS.items() if row[3] is not None))
+def test_above_most_is_domain_error(name):
+    call, param, _, most = INDEX_TAKERS[name]
+    with pytest.raises(DomainError, match=f"^{param} must be <= {most}, got {most + 1}$"):
+        call(most + 1)
+
+
+def test_numpy_integer_equals_int():
+    state, ref = walk.evolve(P, np.int64(7)), walk.evolve(P, 7)
+    assert (state.offset, state.time) == (ref.offset, ref.time)
+    assert np.array_equal(state.amps, ref.amps)
+    mu, ref = walk.time_average(P, np.int64(40), np.int64(3)), walk.time_average(P, 40, 3)
+    assert mu.offset == ref.offset and np.array_equal(mu.values, ref.values)
+    for x in (-3, -2, 0, 2, 3):
+        assert MEASURE.at(np.int64(x)) == MEASURE.at(x)
+
+
+Z_TAKERS = {
+    "f_tilde": spectral.f_tilde,
+    "big_lambda0": lambda z: spectral.big_lambda0(z, 0.3),
 }
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf, 2.5, 3.0, "3"])
-@pytest.mark.parametrize("name", sorted(SITE_TAKERS))
-def test_site_outside_domain_is_domain_error(name, x):
-    # one rule for a site index (walk._site_index): an integer, NumPy ones too
-    with pytest.raises(DomainError, match="x must be an integer"):
-        SITE_TAKERS[name](x)
+@pytest.mark.parametrize(
+    "z", [math.nan, math.inf * 1j, 1.5, 1e100, complex(1.7e308, 1.7e308)])
+@pytest.mark.parametrize("name", sorted(Z_TAKERS))
+def test_z_outside_unit_disk_is_domain_error(name, z):
+    # beyond the disk f has no right digit by |z| = 1e8, and NaN parts by 1e77
+    with pytest.raises(DomainError, match=r"z must lie in the closed unit disk"):
+        Z_TAKERS[name](z)
+
+
+@pytest.mark.parametrize("name", sorted(Z_TAKERS))
+def test_z_on_unit_circle_is_accepted(name):
+    value = Z_TAKERS[name](cmath.exp(0.3j))
+    assert cmath.isfinite(value)
 
 
 def test_no_assert_in_src():
