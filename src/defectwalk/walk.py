@@ -23,19 +23,20 @@ a real divisor s, NumPy's complex division computes each part as
 buffers by ``_INV_SQRT2`` instead; only the sign of a zero can differ, and
 no measure sees it.  It passes that scale as a 0-d array, which NumPy does
 not convert on every call as it does a Python float.  ``time_average``
-squares and adds the measures of many steps at once, each a block row as
-wide as the whole window, and adds a block of them into each running sum
-with one ``np.add.accumulate``, which forms out[i] = out[i-1] + in[i] one
-time step after another, so every sum is formed in the same order as in the
-loop.  The skipped sites, and the window columns the kernel has not reached
-yet (never written, so exact zeros), only add +0.0 to a nonnegative sum,
-which changes nothing.
+copies the windows of many steps into a block of (even, odd) step pairs,
+squares it at once and adds it into the running sums of both parities with
+one ``np.add.accumulate``, which forms out[i] = out[i-1] + in[i] one pair
+after another, so every sum is formed in the same order as in the loop.
+The skipped sites, the window columns the kernel has not reached yet (never
+written, so exact zeros) and the zeroed rows that pad the last block only
+add +0.0 to a nonnegative sum, which changes nothing.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -80,7 +81,10 @@ def _index(value, name: str, least=None, most=None) -> int:
 
 def _check_disk(z: complex) -> complex:
     """The one domain rule for a point z of the closed unit disk, returned as
-    a complex.  The parts are compared first, so ``abs`` cannot overflow."""
+    a complex.  A non-number (str, bytes, None) is refused, not parsed by
+    ``complex``; the parts are compared first, so ``abs`` cannot overflow."""
+    if not isinstance(z, numbers.Number):
+        raise DomainError(f"z must be a number, got {z!r}")
     z = complex(z)
     if not (abs(z.real) <= 1 and abs(z.imag) <= 1 and abs(z) <= 1):
         raise DomainError(f"z must lie in the closed unit disk |z| <= 1, got {z}")
@@ -146,6 +150,7 @@ class WalkParams:
     @classmethod
     def preset(cls, eta: int, phi: float) -> "WalkParams":
         """Symmetric initial state [1/sqrt2, eta*i/sqrt2] with eta = +1 or -1."""
+        eta = _index(eta, "eta")
         if eta not in (1, -1):
             raise DomainError(f"eta must be +1 or -1, got {eta}")
         return cls(phi=phi, alpha=1 / SQRT2, beta=eta * 1j / SQRT2)
@@ -208,8 +213,6 @@ def step(state: WalkState, params: WalkParams) -> WalkState:
     i0 = -state.offset
     if 0 <= i0 < len(a):
         omega = params.omega
-        a = a.copy()
-        b = b.copy()
         a[i0] *= omega
         b[i0] *= omega
     n = len(a)
@@ -332,38 +335,35 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     One light-cone kernel run to time T-1: step t needs only the sites
     |x| <= min(t-1, xmax+T-t) that can still reach the window, and only those
     with x + t even (a run of kernel steps updates a few more, which cannot
-    reach it).  Each parity of t has its own running sum over the
-    kernel's xmax + 1 compact window columns.  The windows of consecutive
-    steps are copied whole into a block, no larger than one kernel buffer,
-    whose measures are squared and summed in one call each.  The block's rows
-    of each parity are then added to that parity's sum by one
-    ``np.add.accumulate`` over [sum; rows], which adds them one at a time, in
-    time order, so each site's sum is formed in the order of a ``step`` loop.
-    So the running sums exist only at block ends.  A column the kernel has
-    not reached yet was never written, so it holds an exact zero, and the
-    loop also adds the measure of every site with x + t odd, an exact zero;
-    adding +0.0 to a nonnegative sum changes nothing, so the result equals a
-    ``step`` loop bit for bit.  The sum of the one column outside the window
-    is dropped.
+    reach it).  The kernel's windows, xmax + 1 compact columns each, are
+    copied into a block of whole (even, odd) step pairs, about one kernel
+    buffer in size, so each block starts at an even t.  A flush zeroes the
+    rows the last block left unfilled and adds the squared measures into the
+    running sums, one per parity of t and column, by one ``np.add.accumulate``
+    over [sums; pairs], which adds the pairs one at a time, in time order, as
+    a ``step`` loop does.  The zeroed rows and the columns the kernel has
+    not reached yet (never written) hold exact zeros, as do the sites with
+    x + t odd that a ``step`` loop adds, and adding +0.0 to a nonnegative
+    sum changes nothing, so the result equals a ``step`` loop bit for bit.
+    The sum of the one column outside the window is dropped.
     """
     T = _index(T, "T", 1)
     xmax = _index(xmax, "xmax", 0)
     n = T - 1
     a = (xmax + 1) // 2  # window column of the origin
-    rows = (max(n, xmax) + 1) // (xmax + 1)  # steps per block
-    block = np.empty((rows, 2, xmax + 1), dtype=complex)
+    pairs = (max(n, xmax) + 1) // (2 * xmax + 2) + 1  # step pairs per block
+    block = np.empty((pairs, 2, 2, xmax + 1), dtype=complex)
+    steps = block.reshape(2 * pairs, 2, xmax + 1)  # a view: one row per step
     sums = np.zeros((2, xmax + 1))  # by parity of t, then compact column
     k = 0
     for t, amps in enumerate(_light_cone(params, n, xmax)):
-        block[k] = amps
+        steps[k] = amps
         k += 1
-        if k == rows or t == n:
-            mu = np.abs(block[:k]) ** 2
-            mu = mu[:, 0] + mu[:, 1]
-            for i in (0, 1):  # rows i, i+2, ... hold times of parity t-k+1+i
-                window = sums[(t - k + 1 + i) % 2]
-                run = np.concatenate((window[None], mu[i::2]))
-                window[...] = np.add.accumulate(run, axis=0)[-1]
+        if k == 2 * pairs or t == n:
+            steps[k:] = 0
+            mu = np.abs(block) ** 2
+            run = np.concatenate((sums[None], mu[:, :, 0] + mu[:, :, 1]))
+            sums[...] = np.add.accumulate(run, axis=0)[-1]
             k = 0
     x = np.arange(-xmax, xmax + 1)
     return Measure(offset=-xmax, values=sums[x % 2, a + x // 2] / T)

@@ -4,7 +4,8 @@ Likewise one rule for the coin state: every function that takes (alpha, beta)
 rejects a non-finite or non-normalized state with DomainError; one rule for
 an integer argument (walk._index): every site, time, count or order rejects a
 non-integer and a value outside its bounds; and one rule for a point z of the
-closed unit disk (walk._check_disk)."""
+closed unit disk (walk._check_disk), which also refuses anything that is not a
+number."""
 
 import argparse
 import ast
@@ -12,6 +13,7 @@ import cmath
 import importlib
 import inspect
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +109,7 @@ INDEX_TAKERS = {
     "asymptotic_psi_origin": (
         lambda n: limits.asymptotic_psi_origin(n, 0.3, A, B), "n", 1, limits._MAX_N),
     "cli --T": (lambda T: cli._check_int_flags(argparse.Namespace(T=T)), "--T", 1, None),
+    "WalkParams.preset": (lambda eta: WalkParams.preset(eta, 0.3), "eta", None, None),
 }
 
 NON_INTEGERS = [math.nan, math.inf, 2.5, 3.0, "3"]
@@ -130,6 +133,13 @@ def test_site_outside_domain_is_domain_error(name, x):
 @pytest.mark.parametrize("name", sorted(set(INDEX_TAKERS) - set(SITE_TAKERS)))
 def test_non_integer_is_domain_error(name, value):
     _refuses_non_integer(name, value)
+
+
+@pytest.mark.parametrize("eta", [1.0, np.float64(-1.0), "1"])
+def test_preset_eta_non_integer_is_domain_error(eta):
+    # 1.0 and -1.0 compare equal to an allowed eta, so only the integer rule
+    # refuses them
+    _refuses_non_integer("WalkParams.preset", eta)
 
 
 @pytest.mark.parametrize(
@@ -177,6 +187,20 @@ def test_z_outside_unit_disk_is_domain_error(name, z):
 def test_z_on_unit_circle_is_accepted(name):
     value = Z_TAKERS[name](cmath.exp(0.3j))
     assert cmath.isfinite(value)
+
+
+@pytest.mark.parametrize("z", ["0.5", b"0.5", None], ids=["str", "bytes", "None"])
+@pytest.mark.parametrize("name", sorted(Z_TAKERS))
+def test_z_not_a_number_is_domain_error(name, z):
+    # complex() would parse the string
+    with pytest.raises(DomainError, match=r"^z must be a number, got "):
+        Z_TAKERS[name](z)
+
+
+@pytest.mark.parametrize("z", [Fraction(1, 2), np.float32(0.5), np.int64(0)])
+@pytest.mark.parametrize("name", sorted(Z_TAKERS))
+def test_z_number_types_are_accepted(name, z):
+    assert Z_TAKERS[name](z) == Z_TAKERS[name](complex(z))
 
 
 def test_no_assert_in_src():

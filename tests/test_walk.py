@@ -341,15 +341,18 @@ def test_kernel_matches_step_loop_with_subnormals():
 
 @pytest.mark.parametrize("xmax", (0, 1, 5, 40))
 def test_time_average_block_edges(xmax):
-    # Every T up to 60 ends the last block at many offsets within it; at
-    # xmax = 40 every block is one step and the window is wider than the
-    # light cone.  For xmax = 5 a block has T // 6 steps.  T <= 60 holds
-    # every T one step past a whole number of blocks (the last is
-    # 55 = 6*9 + 1); 66 = 6*11 ends at a whole number of 11-step blocks,
-    # and 77 = 6*12 + 5 five steps into its seventh 12-step block.
+    # A block holds T // (2*xmax + 2) + 1 (even, odd) step pairs once
+    # T > xmax.  Every T up to 60 ends the last block at many offsets within
+    # it; at xmax = 0 the one block is never full, and at xmax = 40 every
+    # block is one pair and the window is wider than the light cone.  For
+    # xmax = 5 a block has 2 * (T // 12 + 1) steps, more than T / 6, so T ends
+    # on a whole block only at T = 2, 4, .., 12, 16, 20, 24, 30, 40, 50 and
+    # 60, all in the range.  An odd T ends on a half pair: 61 = 12*5 + 1
+    # with 11 of its 12 rows zeroed, and 71 = 12*5 + 11 and 299 = 50*5 + 49,
+    # one step short of a whole 6-pair and 25-pair block.
     times = set(range(1, 61))
     if xmax == 5:
-        times |= {66, 77}
+        times |= {61, 71, 299}
     params = _random_params(0.3, seed=xmax)
     pad = max(max(times), xmax)
     _, sums = _step_reference(params, times, pad)
@@ -363,11 +366,11 @@ def test_time_average_block_edges(xmax):
 def test_time_average_parity_block_edges(xmax):
     # The window holds the sites with x + t even in compact columns: at
     # xmax = 2 three at even t and two at odd t, at xmax = 3 the reverse.
-    # A block has T // (xmax + 1) steps.  T <= 60 ends the last block on
-    # a step of either parity at many offsets within it; at T = 200 the last
-    # block ends on an odd step (xmax = 2: 3 blocks of 66 and one of 2;
-    # xmax = 3: 4 whole blocks of 50), at T = 201 on an even one (3 whole
-    # blocks of 67; 4 blocks of 50 and one of 1).
+    # A block has T // (2*xmax + 2) + 1 (even, odd) step pairs.  T <= 60
+    # ends the last block on a step of either parity at many offsets within
+    # it; at T = 200 the last block ends on a whole pair (xmax = 2: 2 blocks
+    # of 34 pairs and 32 pairs; xmax = 3: 3 blocks of 26 pairs and 22), at
+    # T = 201 on a half pair (32 pairs and a half; 22 pairs and a half).
     times = set(range(1, 61)) | {200, 201}
     params = _random_params(0.7, seed=xmax)
     pad = max(times)
