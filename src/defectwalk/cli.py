@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import limits, series, spectral, walk
-from .walk import SQRT2, DomainError, WalkParams, _index, _is_normalized, _norm_sq
+from .walk import DomainError, WalkParams, _index, _is_normalized, _norm_sq
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -52,43 +52,44 @@ def _parse_complex(token: str, name: str) -> complex:
     return complex(re, im)
 
 
-def _resolve_state(args) -> tuple:
-    """(alpha, beta) from --eta or --alpha/--beta flags."""
-    if args.alpha is not None or args.beta is not None:
-        if args.eta is not None:
-            raise DomainError("--eta cannot be combined with --alpha/--beta")
-        if args.alpha is None or args.beta is None:
-            raise DomainError("--alpha and --beta must be given together")
-        alpha = _parse_complex(args.alpha, "alpha")
-        beta = _parse_complex(args.beta, "beta")
-        norm = _norm_sq(alpha, beta)
-        if not _is_normalized(norm):
-            if not args.normalize:
-                raise DomainError(
-                    f"state not normalized (|alpha|^2+|beta|^2 = {norm}); "
-                    "pass --normalize to rescale"
-                )
-            # dividing by the largest part first keeps the norm from
-            # overflowing or underflowing
-            big = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
-            if big == 0.0:
-                raise DomainError("cannot normalize the zero state")
-            alpha /= big
-            beta /= big
-            scale = math.sqrt(_norm_sq(alpha, beta))
-            alpha /= scale
-            beta /= scale
-        return alpha, beta
-    if args.normalize:
-        raise DomainError("--normalize applies only to an explicit --alpha/--beta state")
-    eta = args.eta if args.eta is not None else 1
-    return 1 / SQRT2, eta * 1j / SQRT2
+def _explicit_state(args) -> tuple:
+    """(alpha, beta) from the --alpha/--beta flags."""
+    if args.eta is not None:
+        raise DomainError("--eta cannot be combined with --alpha/--beta")
+    if args.alpha is None or args.beta is None:
+        raise DomainError("--alpha and --beta must be given together")
+    alpha = _parse_complex(args.alpha, "alpha")
+    beta = _parse_complex(args.beta, "beta")
+    norm = _norm_sq(alpha, beta)
+    if not _is_normalized(norm):
+        if not args.normalize:
+            raise DomainError(
+                f"state not normalized (|alpha|^2+|beta|^2 = {norm}); "
+                "pass --normalize to rescale"
+            )
+        # dividing by the largest part first keeps the norm from
+        # overflowing or underflowing
+        big = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
+        if big == 0.0:
+            raise DomainError("cannot normalize the zero state")
+        alpha /= big
+        beta /= big
+        scale = math.sqrt(_norm_sq(alpha, beta))
+        alpha /= scale
+        beta /= scale
+    return alpha, beta
 
 
 def _params(args) -> WalkParams:
-    """WalkParams from --phi and the state flags of a walk command."""
-    alpha, beta = _resolve_state(args)
-    return WalkParams(phi=parse_phi(args.phi), alpha=alpha, beta=beta)
+    """WalkParams from --phi and the state flags of a walk command: an
+    explicit --alpha/--beta state, or else the ``WalkParams.preset`` state of
+    --eta (default 1).  A bad state is reported before a bad --phi."""
+    if args.alpha is not None or args.beta is not None:
+        alpha, beta = _explicit_state(args)
+        return WalkParams(phi=parse_phi(args.phi), alpha=alpha, beta=beta)
+    if args.normalize:
+        raise DomainError("--normalize applies only to an explicit --alpha/--beta state")
+    return WalkParams.preset(1 if args.eta is None else args.eta, parse_phi(args.phi))
 
 
 def _sites(xmax: int) -> range:
@@ -243,29 +244,32 @@ def cmd_spectrum(args) -> int:
 
 def _ratio_rows(first: int, last: int, nonzero) -> list:
     """Rows "n,numerator,denominator" for n = first .. last, zero except at
-    the (n, (num, den)) pairs of ``nonzero``.  Each ratio has den > 0 and is
-    reduced once by its gcd, as Fraction would reduce it."""
+    the (n, (num, den)) pairs of ``nonzero``.  Each ratio has num != 0 and a
+    power of two den > 0, so its gcd is the common low zero bits: the row
+    is reduced by one shift, as Fraction would reduce it."""
     lines = [f"{n},0,1" for n in range(first, last + 1)]
     for n, (num, den) in nonzero:
-        g = math.gcd(num, den)
-        lines[n - first] = f"{n},{num // g},{den // g}"
+        v = min((num & -num).bit_length(), den.bit_length()) - 1
+        lines[n - first] = f"{n},{num >> v},{den >> v}"
     return lines
 
 
 def cmd_series(args) -> int:
+    """Print one exact table; all three come from ``series._rstar_ratios``.
+
+    r*_{4m-1} is the first-return coefficient of z^(4m-1) and the
+    sqrt(1 + z^4) one of z^(4m).  Every other coefficient is zero, except
+    z^0 = 1 of sqrt(1 + z^4) and r*_1 = -1.
+    """
     order = args.order
-    if args.what == "sqrt1z4":
-        # the z^n coefficient of sqrt(1 + z^4) is zero unless 4 divides n
-        rows = _ratio_rows(0, order, [
-            (4 * k, r) for k, r in enumerate(series._sqrt1z4_ratios(order))])
-    else:
-        # first-return coefficient n, the z^(n+1) one of sqrt(1 + z^4), is
-        # zero unless n = 4m - 1, where it equals r*_n; r* adds r*_1 = -1
-        nonzero = [(4 * m - 1, r)
-                   for m, r in enumerate(series._rstar_ratios((order + 1) // 4), 1)]
-        if args.what == "rstar" and order >= 1:
-            nonzero.append((1, (-1, 1)))
-        rows = _ratio_rows(1, order, nonzero)
+    shift = 1 if args.what == "sqrt1z4" else 0
+    nonzero = [(4 * m - 1 + shift, r)
+               for m, r in enumerate(series._rstar_ratios((order + 1 - shift) // 4), 1)]
+    if shift:
+        nonzero.append((0, (1, 1)))
+    elif args.what == "rstar" and order >= 1:
+        nonzero.append((1, (-1, 1)))
+    rows = _ratio_rows(1 - shift, order, nonzero)
     _emit(["n,numerator,denominator", *rows], args.out)
     return 0
 

@@ -8,10 +8,13 @@ r*_n, generated by (-1 - z^2 + sqrt(1 + z^4)) / z, drive a renewal
 convolution that reconstructs the origin amplitude of the defect walk at
 every even time.
 
-Coefficients are built as integer ratios and rounded once, by int / int
-true division, where floats are needed; the renewal equation (and the
-resolvent series in ``spectral``) is solved by ``_series_reciprocal``, a
-Newton-doubling power-series reciprocal in O(log N) NumPy convolutions.
+The closed form of r* is carried as integer ratios over powers of two
+(``_rstar_ratios``), and the series route as reduced Fractions
+(``first_return_series``), so neither forms a gcd of two large integers.
+Where floats are needed, a ratio is rounded once, by int / int true
+division; the renewal equation (and the resolvent series in ``spectral``) is
+solved by ``_series_reciprocal``, a Newton-doubling power-series reciprocal
+in O(log N) NumPy convolutions.
 """
 
 from __future__ import annotations
@@ -76,10 +79,20 @@ def first_return_series(N: int) -> tuple:
     The constant term of sqrt(1 + z^4) is 1, so the coefficient of z^n is
     that of z^(n+1) in sqrt(1 + z^4).  Returns N + 1 Fractions.  The mirror
     half-line series is the coefficientwise negation.
+
+    The z^(4k) coefficient of sqrt(1 + z^4) is carried from k - 1 by the
+    binomial step c_k = c_{k-1} (3 - 2k) / (2k) as a reduced Fraction.
+    Fraction multiplication cancels each side's numerator against the other
+    side's denominator, so every gcd it forms has a small operand (3 - 2k or
+    2k), and the build is O(N^2) bit operations.  This route reads neither
+    ``rstar``'s closed form nor ``_rstar_ratios``.
     """
     N = _index(N, "N", 0)
     out = [Fraction(0)] * (N + 1)  # nonzero only at n = 4k - 1
-    out[3::4] = [Fraction(num, den) for num, den in _sqrt1z4_ratios(N + 1)[1:]]
+    c = Fraction(1)
+    for k in range(1, (N + 1) // 4 + 1):
+        c *= Fraction(3 - 2 * k, 2 * k)
+        out[4 * k - 1] = c
     return tuple(out)
 
 
@@ -163,19 +176,22 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
 
 
 def _rstar_ratios(mmax: int) -> list:
-    """r*_{4m-1} for m = 1, ..., mmax, each an unreduced integer ratio
-    (numerator, denominator), from the closed form of ``rstar``:
-    (-1)^(m-1) C(2m-2, m-1) / (2^(2m-1) m).
+    """r*_{4m-1} for m = 1, ..., mmax, each an integer ratio (numerator,
+    denominator) with the denominator 2^(2m-1), from the closed form of
+    ``rstar``: (-1)^(m-1) Cat_{m-1} / 2^(2m-1), where the Catalan number
+    Cat_{m-1} = C(2m-2, m-1) / m.
 
-    The central binomial C(2m-2, m-1) is carried from m to m + 1 by the
-    exact integer step * (4m - 2) // m, so no ``math.comb`` is needed.
+    Cat_{m-1} is carried from m to m + 1 by the exact integer step
+    * (4m - 2) // (m + 1), and the denominator by a shift, so no
+    ``math.comb`` is needed.  A denominator that is a power of two makes
+    the ratio's gcd the common low zero bits of the two integers.
     """
     out = []
-    binom, pow2 = 1, 2  # C(2m-2, m-1) and 2^(2m-1) at m = 1
+    cat, pow2 = 1, 2  # Cat_{m-1} and 2^(2m-1) at m = 1
     for m in range(1, mmax + 1):
-        out.append((binom if m % 2 else -binom, pow2 * m))
-        binom = binom * (4 * m - 2) // m
-        pow2 *= 4
+        out.append((cat if m % 2 else -cat, pow2))
+        cat = cat * (4 * m - 2) // (m + 1)
+        pow2 <<= 2
     return out
 
 

@@ -111,7 +111,7 @@ def test_series_rstar_rows(capsys):
     assert table[7] == (-1, 8)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 7, 11, 1000, 1003])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 7, 11, 1000, 1003, 4000, 4003])
 def test_series_rstar_table_equals_rstar(capsys, order):
     want = "n,numerator,denominator\n" + "".join(
         f"{n},{v.numerator},{v.denominator}\n"
@@ -120,7 +120,7 @@ def test_series_rstar_table_equals_rstar(capsys, order):
     assert run(capsys, "series", "--what", "rstar", "--order", str(order)) == (0, want, "")
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 7, 8, 11, 1000, 1003])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 7, 8, 11, 1000, 1003, 4000, 4003])
 @pytest.mark.parametrize("what", ["sqrt1z4", "first-return"])
 def test_series_table_equals_fraction_series(capsys, what, order):
     if what == "sqrt1z4":
@@ -264,6 +264,21 @@ def test_eta_with_explicit_state_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "--eta" in err
+
+
+def test_bad_state_is_reported_before_bad_phi(capsys):
+    # an explicit state is checked before --phi is parsed
+    code, out, err = run(
+        capsys,
+        "limit",
+        "--phi", "abc",
+        "--xmax", "0",
+        "--alpha", "1,0",
+        "--beta", "1,0",
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: state not normalized (|alpha|^2+|beta|^2 = 2.0); "
+                   "pass --normalize to rescale\n")
 
 
 def test_normalize_without_explicit_state_is_usage_error(capsys):

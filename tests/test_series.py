@@ -44,6 +44,34 @@ def test_exact_series_match_fraction_recurrence():
     assert series.rstar_series(2000) == tuple(rstar_ref)
 
 
+def test_rstar_ratios_have_power_of_two_denominators():
+    # the premise of the CLI's shift reduction: den is exactly 2^(2m-1)
+    for m, (num, den) in enumerate(series._rstar_ratios(1000), 1):
+        assert den == 2 ** (2 * m - 1)
+        assert Fraction(num, den) == series.rstar(4 * m - 1)
+
+
+def test_first_return_series_matches_reference_slices():
+    ref = _sqrt1z4_fraction_reference(41)
+    for N in range(41):
+        assert series.first_return_series(N) == tuple(ref[1 : N + 2])
+
+
+def test_series_route_never_reads_closed_form(monkeypatch):
+    # the series leg of the triple equivalence stays independent of rstar's
+    # closed form and its carrier
+    want = series.first_return_series(101), series.rstar_series(101)
+
+    def refuse(*args):
+        raise AssertionError("the series route read the closed form")
+
+    monkeypatch.setattr(series, "_rstar_ratios", refuse)
+    monkeypatch.setattr(math, "comb", refuse)
+    assert (series.first_return_series(101), series.rstar_series(101)) == want
+    with pytest.raises(AssertionError, match="closed form"):
+        series.rstar(99)  # the patches are live
+
+
 def test_renewal_coefficients_equal_rstar_floats():
     got = series._renewal_coefficients(1000)
     want = [float(series.rstar(2 * a - 1)) for a in range(1, 1001)]
