@@ -254,14 +254,27 @@ def _ratio_rows(first: int, last: int, nonzero) -> list:
     return lines
 
 
+@functools.cache
+def _last_printable_order(what: str, digits: int):
+    """The largest --order whose table prints under an int -> str limit of
+    ``digits`` (0: no limit, so None).  Row 4m - 1 (4m for sqrt1z4) holds the
+    largest integer yet, 2^(2m - popcount(m)) reduced, as Cat_{m-1} has
+    popcount(m) - 1 factors of two; the exponent rises with m."""
+    most = (10 ** digits).bit_length() - 1  # the largest e with 2^e < 10^digits
+    m = next(m for m in itertools.count(most // 2) if 2 * m - m.bit_count() > most)
+    return 4 * m - 2 + (what == "sqrt1z4") if digits else None  # the row before m's
+
+
 def cmd_series(args) -> int:
-    """Print one exact table; all three come from ``series._rstar_ratios``.
+    """Print one exact table; all three read ``series._rstar_ratios``.
 
     r*_{4m-1} is the first-return coefficient of z^(4m-1) and the
     sqrt(1 + z^4) one of z^(4m).  Every other coefficient is zero, except
-    z^0 = 1 of sqrt(1 + z^4) and r*_1 = -1.
+    z^0 = 1 of sqrt(1 + z^4) and r*_1 = -1.  An --order past the last
+    printable one is a ``DomainError``.
     """
-    order = args.order
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    order = _index(args.order, "--order", 0, _last_printable_order(args.what, digits))
     shift = 1 if args.what == "sqrt1z4" else 0
     nonzero = [(4 * m - 1 + shift, r)
                for m, r in enumerate(series._rstar_ratios((order + 1 - shift) // 4), 1)]

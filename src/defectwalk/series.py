@@ -8,13 +8,14 @@ r*_n, generated by (-1 - z^2 + sqrt(1 + z^4)) / z, drive a renewal
 convolution that reconstructs the origin amplitude of the defect walk at
 every even time.
 
-The closed form of r* is carried as integer ratios over powers of two
-(``_rstar_ratios``), and the series route as reduced Fractions
-(``first_return_series``), so neither forms a gcd of two large integers.
-Where floats are needed, a ratio is rounded once, by int / int true
-division; the renewal equation (and the resolvent series in ``spectral``) is
-solved by ``_series_reciprocal``, a Newton-doubling power-series reciprocal
-in O(log N) NumPy convolutions.
+One generator, ``_rstar_ratios``, carries the closed form of r* as integer
+ratios over powers of two; it is also the one integer carrier of sqrt(1 + z^4),
+whose z^(4m) coefficient is r*_{4m-1}.  The series route,
+``first_return_series``, is a separate reduced Fraction recurrence.  Neither
+forms a gcd of two large integers.  Where floats are needed, a ratio is rounded
+once as it is yielded, by int / int true division; the renewal equation (and
+the resolvent series in ``spectral``) is solved by ``_series_reciprocal``, a
+Newton-doubling power-series reciprocal in O(log N) NumPy convolutions.
 """
 
 from __future__ import annotations
@@ -25,24 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 from .walk import WalkParams, _index
-
-
-def _sqrt1z4_ratios(N: int) -> list:
-    """Coefficients of z^0, z^4, ..., z^(4*(N//4)) in (1 + z^4)^(1/2), each an
-    unreduced integer ratio (numerator, denominator).
-
-    The binomial recurrence c_k = c_{k-1} (3 - 2k) / (2k) runs on the two
-    integers, so no rational arithmetic is needed.  Python's int / int true
-    division rounds correctly, so ``num / den`` is the float nearest the
-    exact coefficient, the same as ``float(Fraction(num, den))``.
-    """
-    num, den = 1, 1
-    out = [(num, den)]
-    for k in range(1, N // 4 + 1):
-        num *= 3 - 2 * k
-        den *= 2 * k
-        out.append((num, den))
-    return out
 
 
 def rstar(n: int) -> Fraction:
@@ -175,24 +158,25 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _rstar_ratios(mmax: int) -> list:
-    """r*_{4m-1} for m = 1, ..., mmax, each an integer ratio (numerator,
-    denominator) with the denominator 2^(2m-1), from the closed form of
-    ``rstar``: (-1)^(m-1) Cat_{m-1} / 2^(2m-1), where the Catalan number
-    Cat_{m-1} = C(2m-2, m-1) / m.
+def _rstar_ratios(mmax: int):
+    """Yield r*_{4m-1}, also the z^(4m) coefficient of sqrt(1 + z^4), for
+    m = 1, ..., mmax, each an integer ratio (numerator, denominator 2^(2m-1))
+    from the closed form of ``rstar``: (-1)^(m-1) Cat_{m-1} / 2^(2m-1), where
+    Cat_{m-1} = C(2m-2, m-1) / m.  Only the current pair is held, so the
+    readers ``_renewal_coefficients`` and ``spectral.xi_tilde0_series``, which
+    round each pair as it comes, keep O(N) memory; the CLI's ``series``
+    tables are the third reader.
 
     Cat_{m-1} is carried from m to m + 1 by the exact integer step
     * (4m - 2) // (m + 1), and the denominator by a shift, so no
     ``math.comb`` is needed.  A denominator that is a power of two makes
     the ratio's gcd the common low zero bits of the two integers.
     """
-    out = []
     cat, pow2 = 1, 2  # Cat_{m-1} and 2^(2m-1) at m = 1
     for m in range(1, mmax + 1):
-        out.append((cat if m % 2 else -cat, pow2))
+        yield (cat if m % 2 else -cat, pow2)
         cat = cat * (4 * m - 2) // (m + 1)
         pow2 <<= 2
-    return out
 
 
 def _renewal_coefficients(nmax: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import _series_reciprocal, _sqrt1z4_ratios
+from .series import _rstar_ratios, _series_reciprocal
 from .walk import SQRT2, _check_disk, _check_phi, _check_state, _index
 
 # root family -> (sign of pi/4 in its angle eps, open phi interval of its zeros)
@@ -178,17 +178,18 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
 
     Returns an array of shape (N+1, 2, 2); the z^(2n) coefficient applied to
     the initial coin state reproduces the renewal origin amplitude at time 2n.
-    Built by composing the sqrt(1+z^4) series into f, its coefficients the
-    exact binomial ratios rounded once to floats, then inverting L0 by Newton
-    doubling (O(log N) convolutions).  f and L0 hold only even powers of z,
-    so the series are built in u = z^2 and every odd coefficient is exactly
-    0.0.
+    Built by composing the sqrt(1+z^4) series into f, its z^(4k) coefficient
+    r*_{4k-1} (k >= 1) rounded once from ``series._rstar_ratios``, then
+    inverting L0 by Newton doubling (O(log N) convolutions).  f and L0 hold
+    only even powers of z, so the series are built in u = z^2 and every odd
+    coefficient is exactly 0.0.
     """
     _check_phi(phi)
     N = _index(N, "N", 0)
     n = N // 2 + 1  # coefficients of u^0 .. u^(N//2)
     s4 = np.zeros(n)
-    s4[::2] = [num / den for num, den in _sqrt1z4_ratios(N)]
+    s4[0] = 1.0
+    s4[2::2] = [num / den for num, den in _rstar_ratios(N // 4)]
     f = -s4 / SQRT2
     f[0] += 1 / SQRT2
     if n > 1:

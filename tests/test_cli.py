@@ -1,9 +1,11 @@
 import argparse
+import collections
 import contextlib
 import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +140,47 @@ def test_negative_order_is_usage_error(capsys):
     code, out, err = run(capsys, "series", "--what", "rstar", "--order", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --order must be >= 0, got -1\n"
+
+
+# int -> str digit limit -> {table: its last printable order}; the edges are
+# those at which a table first failed to print, with no --order cap
+_SERIES_EDGES = {
+    4300: {"rstar": 28590, "first-return": 28590, "sqrt1z4": 28591},
+    640: {"rstar": 4262, "first-return": 4262, "sqrt1z4": 4263},
+}
+
+
+@contextlib.contextmanager
+def _int_str_digits(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("limit", _SERIES_EDGES)
+def test_series_order_past_last_printable_row_is_usage_error(capsys, limit):
+    with _int_str_digits(limit):
+        for what, last in _SERIES_EDGES[limit].items():
+            code, out, err = run(capsys, "series", "--what", what, "--order", str(last + 1))
+            assert (code, out) == (2, "")
+            assert err == f"error: --order must be <= {last}, got {last + 1}\n"
+
+
+@pytest.mark.parametrize("limit", _SERIES_EDGES)
+def test_series_last_printable_row_formats(limit):
+    # a whole edge table takes seconds to print, so format only its largest
+    # row, the last nonzero one, and the next one, which is past the limit
+    edges = _SERIES_EDGES[limit]
+    last_pair, next_pair = collections.deque(series._rstar_ratios(edges["rstar"] // 4 + 1), 2)
+    with _int_str_digits(limit):
+        for last in edges.values():
+            n = last - 3  # rows n + 1 .. last are zero
+            assert cli._ratio_rows(n, n, [(n, last_pair)])[0].startswith(f"{n},")
+            with pytest.raises(ValueError, match="integer string conversion"):
+                cli._ratio_rows(n + 4, n + 4, [(n + 4, next_pair)])
 
 
 def test_reused_parser_leaks_no_state(capsys):

@@ -1,4 +1,7 @@
+import inspect
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +12,11 @@ from defectwalk.walk import DomainError, WalkParams
 
 
 def _sqrt1z4_fractions(N):
-    # sqrt(1 + z^4) through z^N from the integer ratios, indexed by the power
+    # sqrt(1 + z^4) through z^N from the one integer carrier, indexed by the
+    # power: z^0 is 1 and z^(4m) is r*_{4m-1}
     out = [Fraction(0)] * (N + 1)
-    out[::4] = [Fraction(num, den) for num, den in series._sqrt1z4_ratios(N)]
+    out[0] = Fraction(1)
+    out[4::4] = [Fraction(num, den) for num, den in series._rstar_ratios(N // 4)]
     return out
 
 
@@ -122,7 +127,8 @@ def _l0_series(phi, N):
     # the at-origin L0 series that spectral.xi_tilde0_series inverts, in u = z^2
     n = N // 2 + 1
     s4 = np.zeros(n)
-    s4[::2] = [num / den for num, den in series._sqrt1z4_ratios(N)]
+    s4[0] = 1.0
+    s4[2::2] = [num / den for num, den in series._rstar_ratios(N // 4)]
     f = -s4 / math.sqrt(2)
     f[0] += 1 / math.sqrt(2)
     if n > 1:
@@ -408,3 +414,51 @@ def test_psi_origin_matches_loop_reference():
             worst = max(worst, float(np.max(np.abs(np.asarray(got) - np.asarray(ref)))))
     assert worst <= 1e-13
 
+
+def _traced_peak(fn, *args):
+    # peak bytes that tracemalloc sees during one call
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_layer_memory_is_linear_in_order():
+    # the carrier holds one (Catalan number, power of two) pair at a time, so
+    # a call at order N keeps O(N) floats, not every ratio's O(N) bits at once
+    assert inspect.isgeneratorfunction(series._rstar_ratios)
+    N = 10_000
+    assert _traced_peak(spectral.xi_tilde0_series, 0.3, N) <= 400 * N
+    assert _traced_peak(series.psi_origin_sequence, N, WalkParams.preset(1, 0.3)) <= 400 * N
+
+
+def _reached(fn, *args):
+    # the (module, function) pairs of every defectwalk frame that one call runs
+    seen = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("defectwalk"):
+            seen.add((module, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_resolvent_and_renewal_series_share_only_the_carrier():
+    # the resolvent series reads the renewal route's integer carrier and
+    # reciprocal, never its renewal equation, the r* closed form or the
+    # Fraction series; the renewal route reads nothing of spectral
+    xi = _reached(spectral.xi_tilde0_series, 0.3, 600)
+    xi_series = {name for module, name in xi if module == "defectwalk.series"}
+    assert xi_series <= {"_rstar_ratios", "_series_reciprocal"}
+    assert not xi_series & {"psi_origin_sequence", "_renewal_coefficients",
+                            "first_return_series", "rstar"}
+    psi = _reached(series.psi_origin_sequence, 300, WalkParams.preset(1, 0.3))
+    assert all(module != "defectwalk.spectral" for module, _ in psi)
