@@ -12,8 +12,10 @@ One generator, ``_rstar_ratios``, carries the closed form of r* as integer
 ratios over powers of two; it is also the one integer carrier of sqrt(1 + z^4),
 whose z^(4m) coefficient is r*_{4m-1}.  The series route,
 ``first_return_series``, is a separate reduced Fraction recurrence.  Neither
-forms a gcd of two large integers.  Where floats are needed, a ratio is rounded
-once as it is yielded, by int / int true division; the renewal equation (and
+forms a gcd of two large integers.  Where floats are needed, ``_rstar_floats``
+rounds each ratio once as it is yielded: the denominator is a power of two, so
+scaling the numerator's float by it is exact, and int / int true division takes
+over once the numerator is past the largest float.  The renewal equation (and
 the resolvent series in ``spectral``) is solved by ``_series_reciprocal``, a
 Newton-doubling power-series reciprocal in O(log N) NumPy convolutions.
 """
@@ -162,10 +164,10 @@ def _rstar_ratios(mmax: int):
     """Yield r*_{4m-1}, also the z^(4m) coefficient of sqrt(1 + z^4), for
     m = 1, ..., mmax, each an integer ratio (numerator, denominator 2^(2m-1))
     from the closed form of ``rstar``: (-1)^(m-1) Cat_{m-1} / 2^(2m-1), where
-    Cat_{m-1} = C(2m-2, m-1) / m.  Only the current pair is held, so the
-    readers ``_renewal_coefficients`` and ``spectral.xi_tilde0_series``, which
-    round each pair as it comes, keep O(N) memory; the CLI's ``series``
-    tables are the third reader.
+    Cat_{m-1} = C(2m-2, m-1) / m.  Only the current pair is held, so
+    ``_rstar_floats``, which rounds each pair as it comes for
+    ``_renewal_coefficients`` and ``spectral.xi_tilde0_series``, keeps O(N)
+    memory; the CLI's ``series`` tables are the other reader.
 
     Cat_{m-1} is carried from m to m + 1 by the exact integer step
     * (4m - 2) // (m + 1), and the denominator by a shift, so no
@@ -179,20 +181,41 @@ def _rstar_ratios(mmax: int):
         pow2 <<= 2
 
 
+def _rstar_floats(mmax: int) -> list:
+    """r*_{4m-1} for m = 1, ..., mmax: each ratio of ``_rstar_ratios``
+    rounded once, to the float nearest num / den.
+
+    den is exactly 2^(2m-1), so ldexp(num, 1 - den.bit_length()) is num / den
+    bit for bit (int -> float rounds correctly; the power-of-two scaling is
+    exact) without a big-int division.  From m = 521 on num (Cat_520 and up)
+    overflows a float and ldexp raises OverflowError; from there true
+    division rounds.
+    """
+    ratios = _rstar_ratios(mmax)
+    out = []
+    try:
+        for num, den in ratios:
+            out.append(math.ldexp(num, 1 - den.bit_length()))
+    except OverflowError:  # num only grows, so every later one overflows too
+        out.append(num / den)
+        out += [num / den for num, den in ratios]
+    return out
+
+
 def _renewal_coefficients(nmax: int) -> np.ndarray:
-    """r*_{2a-1} for a = 1, ..., nmax as floats, from ``_rstar_ratios``.
+    """r*_{2a-1} for a = 1, ..., nmax as floats, from ``_rstar_floats``.
 
     Only a = 1 and even a = 2m (r*_{4m-1}) are nonzero.  Each ratio is
-    rounded once by int / int true division, which rounds correctly, so
-    every float equals ``float(rstar(2a - 1))``.
+    rounded once, correctly, so every float equals
+    ``float(rstar(2a - 1))``.
     """
     r = np.zeros(nmax)
     r[:1] = -1.0
-    r[1::2] = [num / den for num, den in _rstar_ratios(nmax // 2)]
+    r[1::2] = _rstar_floats(nmax // 2)
     return r
 
 
-def psi_origin_sequence(nmax: int, params: WalkParams) -> list:
+def psi_origin_sequence(nmax: int, params: WalkParams) -> np.ndarray:
     """Origin amplitudes at times 0, 2, ..., 2*nmax via the renewal convolution.
 
     Psi_{2n}(0) = M sum_{a=1}^{n} c_a Psi_{2(n-a)}(0), with Psi_0(0) the
@@ -205,8 +228,9 @@ def psi_origin_sequence(nmax: int, params: WalkParams) -> list:
 
         Psi(z) = sum_eta (alpha - eta i beta) / 2 (1, eta i) / (1 - (-1 + eta i) c(z)),
 
-    two scalar power-series reciprocals.  Returns nmax + 1 coin 2-vectors,
-    indexed by n; the n = 0 vector is exactly (alpha, beta).
+    two scalar power-series reciprocals.  Returns a complex array of shape
+    (nmax + 1, 2) whose row n is the coin 2-vector at time 2n; row 0 is
+    exactly (alpha, beta).
     """
     nmax = _index(nmax, "nmax", 0)
     c = params.omega * _renewal_coefficients(nmax) / 2.0
@@ -220,4 +244,4 @@ def psi_origin_sequence(nmax: int, params: WalkParams) -> list:
         psi[:, 0] += g
         psi[:, 1] += eta * 1j * g
     psi[0] = (params.alpha, params.beta)
-    return list(psi)
+    return psi

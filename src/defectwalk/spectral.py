@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import _rstar_ratios, _series_reciprocal
+from .series import _rstar_floats, _series_reciprocal
 from .walk import SQRT2, _check_disk, _check_phi, _check_state, _index
 
 # root family -> (sign of pi/4 in its angle eps, open phi interval of its zeros)
@@ -179,33 +179,34 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     Returns an array of shape (N+1, 2, 2); the z^(2n) coefficient applied to
     the initial coin state reproduces the renewal origin amplitude at time 2n.
     Built by composing the sqrt(1+z^4) series into f, its z^(4k) coefficient
-    r*_{4k-1} (k >= 1) rounded once from ``series._rstar_ratios``, then
+    r*_{4k-1} (k >= 1) rounded once by ``series._rstar_floats``, then
     inverting L0 by Newton doubling (O(log N) convolutions).  f and L0 hold
     only even powers of z, so the series are built in u = z^2 and every odd
-    coefficient is exactly 0.0.
+    coefficient is exactly 0.0.  f is real, so its two products, f^2 and
+    f times 1/L0 (one real product per part), are formed in real arithmetic.
     """
     _check_phi(phi)
     N = _index(N, "N", 0)
     n = N // 2 + 1  # coefficients of u^0 .. u^(N//2)
     s4 = np.zeros(n)
     s4[0] = 1.0
-    s4[2::2] = [num / den for num, den in _rstar_ratios(N // 4)]
+    s4[2::2] = _rstar_floats(N // 4)
     f = -s4 / SQRT2
     f[0] += 1 / SQRT2
     if n > 1:
         f[1] += 1 / SQRT2
-    f = f.astype(complex)
     w = _phase(phi)
     fsq = np.convolve(f, f)[:n]
     lam = -SQRT2 * w * f + w * w * fsq
     # f has no u^0 term, so L0's constant term is exactly 1
     lam[0] += 1.0
     inv = _series_reciprocal(lam)
-    g = w * f / SQRT2
+    # inv * g with g = w f / sqrt(2)
+    ig = (np.convolve(inv.real, f)[:n] + 1j * np.convolve(inv.imag, f)[:n]) * (w / SQRT2)
+    diag = inv - ig
     out = np.zeros((N + 1, 2, 2), dtype=complex)
-    ig = np.convolve(inv, g)[:n]
-    out[::2, 0, 0] = inv - ig
+    out[::2, 0, 0] = diag
     out[::2, 0, 1] = -ig
     out[::2, 1, 0] = ig
-    out[::2, 1, 1] = inv - ig
+    out[::2, 1, 1] = diag
     return out

@@ -84,6 +84,25 @@ def test_renewal_coefficients_equal_rstar_floats():
     assert all(g == w for g, w in zip(got, want))
 
 
+def test_renewal_coefficients_equal_rstar_floats_past_float_range():
+    # a = 1042 is the first r*_{4m-1} (m = 521) whose numerator Cat_520 is
+    # past the largest float, where the rounding falls back to true division
+    got = series._renewal_coefficients(1100)
+    want = [float(series.rstar(2 * a - 1)) for a in range(1, 1101)]
+    assert len(got) == 1100
+    assert all(g == w for g, w in zip(got, want))
+
+
+def test_rstar_floats_equal_true_division():
+    # scaling by the power of two rounds each ratio as num / den does, on
+    # both sides of m = 521
+    ratios = list(series._rstar_ratios(1100))
+    assert series._rstar_floats(1100) == [num / den for num, den in ratios]
+    float(ratios[519][0])  # Cat_519 is a float
+    with pytest.raises(OverflowError):
+        float(ratios[520][0])  # Cat_520 is not
+
+
 def _reciprocal_loop_reference(a):
     # 1/a(z) by the plain recurrence g_n = -sum_{k=1}^{n} a_k g_{n-k}
     g = np.zeros(len(a), dtype=complex)
@@ -368,6 +387,32 @@ def test_psi_origin_matches_four_step_evolution():
     )
 
 
+def _psi_rows_reference(nmax, params):
+    # the eigen-split of psi_origin_sequence, assembled one coin 2-vector at
+    # a time in Python complex arithmetic
+    c = params.omega * series._renewal_coefficients(nmax) / 2.0
+    g = {}
+    for eta in (1, -1):
+        denom = np.concatenate(([1.0], (1 - eta * 1j) * c))
+        g[eta] = (params.alpha - eta * 1j * params.beta) / 2 * series._series_reciprocal(denom)
+    rows = [(params.alpha, params.beta)]
+    for n in range(1, nmax + 1):
+        rows.append((g[1][n] + g[-1][n], 1j * g[1][n] + -1j * g[-1][n]))
+    return rows
+
+
+def test_psi_origin_returns_one_complex_array():
+    for phi, v in zip((0.0, 0.3, 0.77), _random_states(3, seed=13)):
+        params = WalkParams(phi=phi, alpha=complex(v[0]), beta=complex(v[1]))
+        for nmax in (0, 1, 300):
+            psi = series.psi_origin_sequence(nmax, params)
+            assert isinstance(psi, np.ndarray)
+            assert psi.dtype == np.complex128 and psi.shape == (nmax + 1, 2)
+            assert psi[0, 0] == params.alpha and psi[0, 1] == params.beta
+            ref = _psi_rows_reference(nmax, params)
+            assert all(tuple(row) == want for row, want in zip(psi, ref, strict=True))
+
+
 def _random_states(count, seed=7):
     rng = np.random.default_rng(seed)
     vs = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
@@ -457,7 +502,7 @@ def test_resolvent_and_renewal_series_share_only_the_carrier():
     # Fraction series; the renewal route reads nothing of spectral
     xi = _reached(spectral.xi_tilde0_series, 0.3, 600)
     xi_series = {name for module, name in xi if module == "defectwalk.series"}
-    assert xi_series <= {"_rstar_ratios", "_series_reciprocal"}
+    assert xi_series <= {"_rstar_ratios", "_rstar_floats", "_series_reciprocal"}
     assert not xi_series & {"psi_origin_sequence", "_renewal_coefficients",
                             "first_return_series", "rstar"}
     psi = _reached(series.psi_origin_sequence, 300, WalkParams.preset(1, 0.3))

@@ -341,6 +341,21 @@ def test_xi_tilde0_series_matches_renewal():
         assert np.max(np.abs(co[2 * n] @ v - psi[n])) <= 1e-10
 
 
+def test_xi_tilde0_series_matches_renewal_over_whole_range():
+    # every coefficient through N = 4400 (psi nmax = 2200), past the order
+    # m = 521 where both routes' r* floats fall back to true division
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for phi in (0.1, 0.3, 0.5, 0.77):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        params = WalkParams(phi=phi, alpha=complex(v[0]), beta=complex(v[1]))
+        co = spectral.xi_tilde0_series(phi, 4400)
+        psi = series.psi_origin_sequence(2200, params)
+        worst = max(worst, float(np.max(np.abs(co[::2] @ v - psi))))
+    assert worst <= 1e-12
+
+
 def test_xi_tilde0_series_general_state():
     params = WalkParams(phi=0.77, alpha=0.48 + 0.6j, beta=complex(0, math.sqrt(1 - 0.48**2 - 0.36)))
     co = spectral.xi_tilde0_series(0.77, 24)
