@@ -316,21 +316,26 @@ def _check_renewal():
 
 def _check_kernel_vs_steps():
     """Gaps of ``evolve`` and ``time_average`` (the light-cone kernel) from a
-    ``walk.step`` loop, which they reproduce bit for bit."""
+    ``walk.step`` loop, which they reproduce bit for bit.  The kernel returns
+    inside its loop for odd n and after it for even n, so each function is
+    checked at both: ``time_average`` at T = 200 and 201 (n = 199, 200),
+    ``evolve`` at n = 199 and 200."""
     T, xmax = 200, 5
     gaps = []
     for phi in (0.125, 0.5):
-        states = list(_steps(phi, T))
-        amps = np.zeros((T, 2 * xmax + 1, 2), dtype=complex)  # times 0 .. T-1, |x| <= xmax
-        for t, st in enumerate(states[:T]):
+        states = list(_steps(phi, T))  # times 0 .. T
+        amps = np.zeros((T + 1, 2 * xmax + 1, 2), dtype=complex)  # |x| <= xmax
+        for t, st in enumerate(states):
             k = min(t, xmax)
             amps[t, xmax - k : xmax + k + 1] = st.amps[t - k : t + k + 1]
         # ``walk.measure`` of every window at once, summed in time order
         mu = np.sum(np.abs(amps) ** 2, axis=2)
-        mean = np.add.accumulate(mu, axis=0)[-1] / T
+        sums = np.add.accumulate(mu, axis=0)  # sums[t]: times 0 .. t
         p = WalkParams.preset(1, phi)
-        gaps.append(np.max(np.abs(walk.time_average(p, T, xmax).values - mean)))
-        gaps.append(np.max(np.abs(walk.evolve(p, T).amps - states[T].amps)))
+        for n in (T - 1, T):
+            mean = sums[n] / (n + 1)
+            gaps.append(np.max(np.abs(walk.time_average(p, n + 1, xmax).values - mean)))
+            gaps.append(np.max(np.abs(walk.evolve(p, n).amps - states[n].amps)))
     return gaps
 
 
@@ -378,7 +383,7 @@ VERIFY_CHECKS = (
                   - limits.mu_inf_origin(phi, p.alpha, p.beta))
               for phi in _GRID
               for p in (WalkParams.preset(1, phi), WalkParams.preset(-1, phi))]),
-    ("kernel vs step loop (T=200)", 0.0, _check_kernel_vs_steps),
+    ("kernel vs step loop (T=199..201)", 0.0, _check_kernel_vs_steps),
     ("limit vs simulation (T=2000)", 2e-2, _check_limit_vs_simulation),
 )
 

@@ -11,25 +11,29 @@ The kernel and ``time_average`` reproduce a ``step`` loop bit for bit while
 doing less work per step.  A site with x + t odd holds an exact zero at time
 t (the walker moves one site per step), so the kernel stores only the sites
 with x + t even, in compact columns, and never computes the zeros.  One
-buffer holds the even times and one the odd times, so each pass of its loop
-makes two half-steps whose offsets are fixed, and only the first applies the
-defect phase.  At a few hundred sites a step costs NumPy call overhead, not
-arithmetic, so the kernel slices its buffers once per run of ``_RUN``
+array holds the last even and the last odd time, the two chiralities of a
+site side by side, so each pass of its loop makes two half-steps whose
+offsets are fixed, only the first applies the defect phase, and each
+half-step scales everything it wrote with one multiply of a contiguous
+span.  At a few hundred sites a step costs NumPy call overhead, not
+arithmetic, so the kernel slices its buffer once per run of ``_RUN``
 passes, not once per pass: each run updates every site that any of its
 steps needs (a bound in closed form), and the extra sites hold either exact
 zeros, which stay +0.0, or values that can no longer reach the window.  For
 a real divisor s, NumPy's complex division computes each part as
 (re + im*0) * fl(1/s), so the kernel multiplies the float64 view of its
-buffers by ``_INV_SQRT2`` instead; only the sign of a zero can differ, and
+buffer by ``_INV_SQRT2`` instead; only the sign of a zero can differ, and
 no measure sees it.  It passes that scale as a 0-d array, which NumPy does
-not convert on every call as it does a Python float.  ``time_average``
-copies the windows of many steps into a block of (even, odd) step pairs,
-squares it at once and adds it into the running sums of both parities with
-one ``np.add.accumulate``, which forms out[i] = out[i-1] + in[i] one pair
-after another, so every sum is formed in the same order as in the loop.
-The skipped sites, the window columns the kernel has not reached yet (never
-written, so exact zeros) and the zeroed rows that pad the last block only
-add +0.0 to a nonnegative sum, which changes nothing.
+not convert on every call as it does a Python float.  The kernel yields one
+window pair, (even, odd) times, per pass; ``time_average`` copies the pairs
+into a block, squares it at once and adds it into the running sums of both
+parities with one ``np.add.accumulate``, which forms out[i] = out[i-1] +
+in[i] one pair after another, so every sum is formed in the same order as
+in the loop.  The skipped sites, the window columns the kernel has not
+reached yet (never written, so exact zeros) and the zeroed rows that pad
+the last block only add +0.0 to a nonnegative sum, which changes nothing.
+``time_average`` runs the kernel on its window clipped to |x| <= T - 1,
+which is all a ``step`` loop ever writes, so a wider window costs no more.
 """
 
 from __future__ import annotations
@@ -223,104 +227,129 @@ def step(state: WalkState, params: WalkParams) -> WalkState:
 
 
 def _light_cone(params: WalkParams, n: int, xmax: int):
-    """Yield the state at times t = 0 .. n on the window |x| <= xmax.
+    """Yield the states at times 0 .. n on the window |x| <= xmax, in
+    (even, odd) pairs of times.
 
     Only the occupied sublattice is stored: at time t the sites with x + t
-    even, site x in compact column ``h + x // 2`` of one of two half-width
-    buffers, ``even`` for the even times and ``odd`` for the odd ones.  Each
-    pass of the loop makes two half-steps with fixed offsets.  From an even
-    time left-movers land one column left, right-movers stay in theirs, and
-    the defect phase is applied, since the origin is occupied only at even
-    times; from an odd time left-movers stay and right-movers land one
-    column right.  When n is odd the last pass stops after its first half.
-    Step t needs only |x| <= min(t-1, xmax+n-t+1): a site farther out can no
-    longer reach the window by time n.
+    even, site x in compact column ``h + x // 2``.  One complex array,
+    ``buf[t % 2, column, (left, right)]``, holds the last even time (``even``)
+    and the last odd time (``odd``), the two chiralities of a site side by
+    side.  Each pass of the loop makes two half-steps with fixed offsets.
+    From an even time left-movers land one column left, right-movers stay in
+    theirs, and the defect phase is applied, since the origin is occupied
+    only at even times; from an odd time left-movers stay and right-movers
+    land one column right.  When n is odd the last pass stops after its
+    first half.  Step t needs only |x| <= min(t-1, xmax+n-t+1): a site
+    farther out can no longer reach the window by time n.
+
+    A half-step that reads the columns lo .. hi-1 is three NumPy calls:
+    ``np.add`` writes the left-movers and ``np.subtract`` the right-movers,
+    each through a strided complex view of one chirality, and one
+    ``np.multiply`` scales the contiguous float64 span of the columns it
+    wrote, both chiralities at once: lo-1 .. hi-1 of ``odd`` from an even
+    time, lo .. hi of ``even`` from an odd time.
 
     The passes come in runs of ``_RUN`` (2 * _RUN steps), and each run slices
-    its eight float64 views once.  For a run whose passes have odd t = t0 ..
-    last, its half-steps from even times update |x| <= min(last-1,
-    xmax+n-t0+1) and those from odd times |x| <= min(last, n-1, xmax+n-t0):
-    at least the reach of each of its steps, and at most n - 1 < c, so inside
-    the buffers.  The extra sites are of two kinds.  Where step t reads
-    beyond the support |x| <= t-1 of its input, the inputs are the zeros the
-    buffers were made with, so the outputs are +0.0 again: a column beyond
-    |x| = t holds the zero the support needs.  Beyond the reach a site may
-    hold a stale value, but it cannot reach the window by time n, so no
-    window value changes.  With the 0-d scale below, the runs made
-    ``time_average`` at T = 1000, xmax = 5, where a step updates at most
-    about 250 sites, about 1.5x faster than slicing per pass (2 shared
-    vCPUs, fastest of interleaved calls).
+    its views once.  For a run whose passes have odd t = t0 .. last, its
+    half-steps from even times update |x| <= r = min(last-1, xmax+n-t0+1)
+    and those from odd times |x| <= r = min(last, n-1, xmax+n-t0): at least
+    the reach of each of its steps, and at most n - 1 < c, so inside the
+    buffer.  The extra sites are of two kinds.  Where step t reads beyond the
+    support |x| <= t-1 of its input, the inputs are the zeros the buffer was
+    made with, so the outputs are +0.0 again: a column beyond |x| = t holds
+    the zero the support needs.  Beyond the reach a site may hold a stale
+    value, but it cannot reach the window by time n, so no window value
+    changes.  With the 0-d scale below, the runs made ``time_average`` at
+    T = 1000, xmax = 5, where a step updates at most about 250 sites, about
+    1.5x faster than slicing per pass (2 shared vCPUs, fastest of
+    interleaved calls).
 
-    Each item is a (2, xmax+1) view, rows (left, right), of the compact
-    columns ``h - (xmax+1)//2 .. h + xmax//2`` of the buffer of its parity;
-    the step two later overwrites it.  At time t they hold the sites
-    x = 2j + t % 2: every window site with x + t even and, when xmax + t is
-    odd, one site at |x| = xmax + 1.
+    The span also scales two entries that the add and the subtract did not
+    write: from an even time (lo-1, right) and (hi-1, left), from an odd
+    time (lo, right) and (hi, left), the right-mover at the left end of the
+    span and the left-mover at its right end.  Where the run's reach is set
+    by the support (r = last-1 from even times, r = last or n-1 from odd
+    times) they lie at |x| >= t for every step t of the run, at the edge of
+    the light cone or beyond it.  There a ``step`` loop holds an exact zero
+    (a right-mover at x = -t came from x = -t-1 and a left-mover at x = t
+    from x = t+1, outside the support at t-1), the buffer holds the same
+    zero, and scaling keeps a zero, sign included.  Otherwise they lie
+    beyond the run's reach, so like the other extra sites they cannot reach
+    the window by time n; at most one lands in the window's column at
+    |x| = xmax + 1, which may hold a stale value anyway.
 
-    The arithmetic is that of ``step`` in the same order, on float64 views of
-    the buffers: the real and imaginary parts are added and subtracted
-    separately, exactly as complex addition does, and then multiplied by
-    ``_INV_SQRT2``, which is what NumPy's division of a complex by the real
-    ``SQRT2`` computes, up to the sign of a zero.  The scale is the 0-d
-    float64 array ``_INV_SQRT2_0D``, the same value: on 500 floats NumPy
-    2.4.6 multiplies by it in 0.48 us against 0.70 us for a Python float,
-    which it converts on every call.  So every stored value equals a
-    ``step`` loop bit for bit (``==``; a zero may carry the other sign), and
-    every site skipped holds an exact zero in that loop.
+    Each item is the view ``buf[:, h - (xmax+1)//2 : h + xmax//2 + 1]`` of
+    shape (2, xmax+1, 2), yielded once per pass right after its first
+    half-step, when it holds the times (t-1, t), t odd; the next pass
+    overwrites it.  Row p holds the sites x = 2j + p, j = -((xmax+1)//2) ..
+    xmax//2: every window site with x + p even and, when xmax + p is odd, one
+    site at |x| = xmax + 1.  For odd n the last item is the pair (n-1, n).
+    For even n one more item follows the loop: its even row holds time n and
+    its odd row still holds time n - 1 (for n = 0, zeros).
+
+    The arithmetic is that of ``step`` in the same order.  Complex addition
+    and subtraction work on the real and imaginary parts separately, and the
+    span is then multiplied by ``_INV_SQRT2``, which is what NumPy's
+    division of a complex by the real ``SQRT2`` computes, up to the sign of
+    a zero.  The scale is the 0-d float64 array ``_INV_SQRT2_0D``, the same
+    value: on 500 floats NumPy 2.4.6 multiplies by it in 0.48 us against
+    0.70 us for a Python float, which it converts on every call.  So every
+    stored value equals a ``step`` loop bit for bit (``==``; a zero may
+    carry the other sign), and every site skipped holds an exact zero in
+    that loop.
     """
     c = max(n, xmax)  # the sites stored lie in |x| <= c
     h = (c + 1) // 2  # compact column of the origin
-    even = np.zeros((2, h + c // 2 + 1), dtype=complex)
-    odd = np.zeros_like(even)
-    even[:, h] = params.alpha, params.beta
-    (e_l, e_r), (o_l, o_r) = even.view(np.float64), odd.view(np.float64)
+    # buf[t % 2, column, chirality]: the last even and the last odd time
+    buf = np.zeros((2, h + c // 2 + 1, 2), dtype=complex)
+    buf[0, h] = params.alpha, params.beta
+    even, odd = buf
+    e_flat, o_flat = buf.reshape(2, -1).view(np.float64)  # contiguous spans
     omega = params.omega
     add, subtract, multiply, scale = np.add, np.subtract, np.multiply, _INV_SQRT2_0D
-    lo_w, hi_w = h - (xmax + 1) // 2, h + xmax // 2 + 1  # window columns
-    even_win, odd_win = even[:, lo_w:hi_w], odd[:, lo_w:hi_w]
-    yield even_win
+    pair = buf[:, h - (xmax + 1) // 2 : h + xmax // 2 + 1]  # window columns
     for t0 in range(1, n + 1, 2 * _RUN):  # one run: odd t = t0 .. last
         last = min(t0 + 2 * _RUN - 2, n - 1 + n % 2)
         r = min(last - 1, xmax + n - t0 + 1)  # from even times
-        lo, hi = 2 * (h - r // 2), 2 * (h + r // 2 + 1)
-        ell0, arr0 = e_l[lo:hi], e_r[lo:hi]
-        a0 = o_l[lo - 2 : hi - 2]  # left-movers, x-1
-        b0 = o_r[lo:hi]  # right-movers, x+1
+        lo, hi = h - r // 2, h + r // 2 + 1
+        ell0, arr0 = even[lo:hi, 0], even[lo:hi, 1]
+        a0 = odd[lo - 1 : hi - 1, 0]  # left-movers, x-1
+        b0 = odd[lo:hi, 1]  # right-movers, x+1
+        span0 = o_flat[4 * (lo - 1) : 4 * hi]
         r = min(last, n - 1, xmax + n - t0)  # from odd times
-        lo, hi = 2 * (h - (r + 1) // 2), 2 * (h + (r - 1) // 2 + 1)
-        ell1, arr1 = o_l[lo:hi], o_r[lo:hi]
-        a1 = e_l[lo:hi]  # left-movers, x-1
-        b1 = e_r[lo + 2 : hi + 2]  # right-movers, x+1
+        lo, hi = h - (r + 1) // 2, h + (r - 1) // 2 + 1
+        ell1, arr1 = odd[lo:hi, 0], odd[lo:hi, 1]
+        a1 = even[lo:hi, 0]  # left-movers, x-1
+        b1 = even[lo + 1 : hi + 1, 1]  # right-movers, x+1
+        span1 = e_flat[4 * lo : 4 * (hi + 1)]
         for t in range(t0, last + 1, 2):  # steps t (from even) and t + 1
             add(ell0, arr0, a0)
-            multiply(a0, scale, a0)
             subtract(ell0, arr0, b0)
-            multiply(b0, scale, b0)
-            odd[0, h - 1] *= omega
-            odd[1, h] *= omega
-            yield odd_win
+            multiply(span0, scale, span0)
+            odd[h - 1, 0] *= omega
+            odd[h, 1] *= omega
+            yield pair
             if t == n:
                 return
             add(ell1, arr1, a1)
-            multiply(a1, scale, a1)
             subtract(ell1, arr1, b1)
-            multiply(b1, scale, b1)
-            yield even_win
+            multiply(span1, scale, span1)
+    yield pair
 
 
 def evolve(params: WalkParams, n: int) -> WalkState:
     """State after n steps from the origin, on its full support [-n, n].
 
     Runs the light-cone kernel with the window as wide as the support, so no
-    site is cut, and scatters its sites onto [-n, n], where every other site
-    (x + n odd) is an exact zero; ``step`` is the one-step reference it
-    reproduces exactly.
+    site is cut, takes time n from its last pair (row n % 2), and scatters
+    its sites onto [-n, n], where every other site (x + n odd) is an exact
+    zero; ``step`` is the one-step reference it reproduces exactly.
     """
     n = _index(n, "n", 0)
-    for amps in _light_cone(params, n, n):
+    for pair in _light_cone(params, n, n):
         pass
     out = np.zeros((2 * n + 1, 2), dtype=complex)
-    out[::2] = amps.T
+    out[::2] = pair[n % 2]
     return WalkState(offset=-n, amps=out, time=n)
 
 
@@ -332,38 +361,47 @@ def measure(state: WalkState) -> Measure:
 def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     """Average of the site measures over times 0 .. T-1, restricted to |x| <= xmax.
 
-    One light-cone kernel run to time T-1: step t needs only the sites
-    |x| <= min(t-1, xmax+T-t) that can still reach the window, and only those
+    One light-cone kernel run to time n = T-1 on the window clipped to
+    |x| <= w = min(xmax, n): a ``step`` loop never writes a site beyond
+    |x| = n, so its sums there stay +0.0, and the result is the clipped sums
+    padded with zeros to 2*xmax + 1 sites.  Step t needs only the sites
+    |x| <= min(t-1, w+n-t+1) that can still reach the window, and only those
     with x + t even (a run of kernel steps updates a few more, which cannot
-    reach it).  The kernel's windows, xmax + 1 compact columns each, are
-    copied into a block of whole (even, odd) step pairs, about one kernel
-    buffer in size, so each block starts at an even t.  A flush zeroes the
-    rows the last block left unfilled and adds the squared measures into the
-    running sums, one per parity of t and column, by one ``np.add.accumulate``
-    over [sums; pairs], which adds the pairs one at a time, in time order, as
-    a ``step`` loop does.  The zeroed rows and the columns the kernel has
-    not reached yet (never written) hold exact zeros, as do the sites with
-    x + t odd that a ``step`` loop adds, and adding +0.0 to a nonnegative
-    sum changes nothing, so the result equals a ``step`` loop bit for bit.
-    The sum of the one column outside the window is dropped.
+    reach it).  The kernel yields one (even, odd) pair of windows per pass,
+    w + 1 compact columns each, and they are copied into a block of whole
+    pairs, about one kernel buffer in size.  A flush zeroes the pairs the
+    last block left unfilled and, for even n, the odd row of the final pair,
+    which repeats time n - 1; then it adds the squared measures, left
+    chirality first, into the running sums, one per parity of t and column,
+    by one ``np.add.accumulate`` over [sums; pairs], which adds the pairs one
+    at a time, in time order, as a ``step`` loop does.  The zeroed rows and
+    the columns the kernel has not reached yet (never written) hold exact
+    zeros, as do the sites with x + t odd that a ``step`` loop adds, and
+    adding +0.0 to a nonnegative sum changes nothing, so the result equals a
+    ``step`` loop bit for bit.  The sum of the one column outside the window
+    is dropped.
     """
     T = _index(T, "T", 1)
     xmax = _index(xmax, "xmax", 0)
     n = T - 1
-    a = (xmax + 1) // 2  # window column of the origin
-    pairs = (max(n, xmax) + 1) // (2 * xmax + 2) + 1  # step pairs per block
-    block = np.empty((pairs, 2, 2, xmax + 1), dtype=complex)
-    steps = block.reshape(2 * pairs, 2, xmax + 1)  # a view: one row per step
-    sums = np.zeros((2, xmax + 1))  # by parity of t, then compact column
+    w = min(xmax, n)  # the sites beyond |x| = n hold +0.0 at every step
+    a = (w + 1) // 2  # window column of the origin
+    pairs = (n + 1) // (2 * w + 2) + 1  # (even, odd) step pairs per block
+    block = np.empty((pairs, 2, w + 1, 2), dtype=complex)
+    sums = np.zeros((2, w + 1))  # by parity of t, then compact column
     k = 0
-    for t, amps in enumerate(_light_cone(params, n, xmax)):
-        steps[k] = amps
+    for i, pair in enumerate(_light_cone(params, n, w)):  # times 2i, 2i + 1
+        block[k] = pair
         k += 1
-        if k == 2 * pairs or t == n:
-            steps[k:] = 0
+        if k == pairs or i == n // 2:
+            if 2 * i == n:  # the final pair's odd row repeats time n - 1
+                block[k - 1, 1] = 0
+            block[k:] = 0
             mu = np.abs(block) ** 2
-            run = np.concatenate((sums[None], mu[:, :, 0] + mu[:, :, 1]))
+            run = np.concatenate((sums[None], mu[..., 0] + mu[..., 1]))
             sums[...] = np.add.accumulate(run, axis=0)[-1]
             k = 0
-    x = np.arange(-xmax, xmax + 1)
-    return Measure(offset=-xmax, values=sums[x % 2, a + x // 2] / T)
+    x = np.arange(-w, w + 1)
+    values = np.zeros(2 * xmax + 1)
+    values[xmax - w : xmax + w + 1] = sums[x % 2, a + x // 2] / T
+    return Measure(offset=-xmax, values=values)

@@ -400,7 +400,7 @@ VERIFY_RECORDS = [
     ("spectral closure residue-sum gap (10-point grid)", 1e-12),
     ("stationary coincidence", 1e-12),
     ("CMV-form equality", 1e-14),
-    ("kernel vs step loop (T=200)", 0.0),
+    ("kernel vs step loop (T=199..201)", 0.0),
     ("limit vs simulation (T=2000)", 2e-2),
 ]
 

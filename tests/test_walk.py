@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,56 @@ def test_kernel_matches_step_loop_with_subnormals():
         mu = walk.time_average(params, T, xmax)
         expected = sums[T][T - xmax : T + xmax + 1] / T
         assert np.max(np.abs(mu.values - expected)) == 0.0
+
+
+@pytest.mark.parametrize("xmax", (0, 1, 2, 5, 40))
+def test_light_cone_yields_each_pair_of_step_loop_windows(xmax):
+    # _light_cone(params, n, xmax) yields one view per pass, of shape
+    # (2, xmax + 1, 2): the windows at the times (t - 1, t), t odd, with the
+    # sites x = 2 * (j - (xmax + 1) // 2) + t % 2 in column j and the
+    # chiralities last.  An even n ends on one more pair whose odd row
+    # repeats time n - 1, and the column at |x| = xmax + 1 may hold a stale
+    # value, so both are skipped.  The n cross zero to three runs of kernel
+    # passes and end at both parities.
+    ns = (0, 1, 2, 31, 32, 33, 64, 65, 97)
+    params = _random_params(0.6, seed=xmax + 29)
+    states = [walk.initial_state(params)]
+    while len(states) <= max(ns):
+        states.append(walk.step(states[-1], params))
+    for n in ns:
+        pairs = [pair.copy() for pair in walk._light_cone(params, n, xmax)]
+        assert len(pairs) == n // 2 + 1
+        for i, pair in enumerate(pairs):
+            assert pair.shape == (2, xmax + 1, 2)
+            for t in range(2 * i, min(2 * i + 1, n) + 1):
+                x = 2 * (np.arange(xmax + 1) - (xmax + 1) // 2) + t % 2
+                inside = np.abs(x) <= xmax
+                expected = np.reshape(
+                    [states[t].amplitude(site) for site in x[inside]], (-1, 2)
+                )
+                assert np.array_equal(pair[t % 2][inside], expected), (n, t)
+
+
+def test_time_average_wide_window_costs_the_light_cone():
+    # A step loop never writes a site beyond |x| = T - 1, so its sums there
+    # stay +0.0.  time_average runs the kernel on the window clipped to the
+    # light cone and pads the result with zeros: the values equal the clipped
+    # run padded, and the call holds little more than its result in memory.
+    params = _random_params(0.3, seed=3)
+    T, xmax = 3, 10**6
+    clipped = walk.time_average(params, T, T - 1).values
+    tracemalloc.start()
+    try:
+        mu = walk.time_average(params, T, xmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = np.zeros(2 * xmax + 1)
+    expected[xmax - (T - 1) : xmax + T] = clipped
+    assert mu.offset == -xmax
+    assert np.array_equal(mu.values, expected)
+    assert not np.any(np.signbit(mu.values))
+    assert peak <= 2 * mu.values.nbytes
 
 
 @pytest.mark.parametrize("xmax", (0, 1, 5, 40))
