@@ -25,7 +25,6 @@ from .series import (
 from .spectral import (
     SpectralPoint,
     big_lambda0,
-    f_tilde,
     residue_norms,
     residue_norms_origin,
     singular_points,
@@ -52,7 +51,6 @@ __all__ = [
     "cgmv_limit_origin",
     "compare_stationary_timeavg",
     "evolve",
-    "f_tilde",
     "first_return_series",
     "measure",
     "mu_inf",

@@ -35,7 +35,7 @@ def parse_phi(token: str) -> float:
         if "/" in token:
             return float(Fraction(token))
         return float(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"cannot parse phi {token!r}") from exc
 
 

@@ -197,8 +197,12 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
     """
     _check_phi(phi)
     x = abs(_index(x, "x"))
-    if not 0 < 2 * alpha_mod2 < math.inf:
-        raise DomainError(f"2*alpha_mod2 must be finite and > 0, got {alpha_mod2}")
+    try:  # 2.0 * refuses a non-number (TypeError) and an int past a float
+        valid = 0 < 2.0 * alpha_mod2 < math.inf
+    except (TypeError, OverflowError):
+        valid = False
+    if not valid:
+        raise DomainError(f"2*alpha_mod2 must be finite and > 0, got {alpha_mod2!r}")
     eta = _branch_eta(branch)
     if not _in_family(phi, eta):
         raise DomainError(f"the {branch} profile does not decay at phi={phi}: "

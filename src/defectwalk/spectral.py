@@ -15,9 +15,9 @@ Each singular-point quantity has one route and one spelling:
 per point, and forms the gate's |L0|, lambda and dL0/dz from them, as
 ``lambda_sq`` and ``residue_prefactor`` = 1/|dL0/dz|^2, each point a
 ``SpectralPoint`` NamedTuple built positionally; ``residue_norms`` reads the
-prefactor from the points.  The private helpers ``_phase``,
-``_root``, ``_f`` and ``_l0`` are the formulas that ``f_tilde``,
-``big_lambda0`` and ``xi_tilde0_series`` share with it.
+prefactor from the points.  The private helpers ``_phase``, ``_root``,
+``_f`` and ``_l0`` are the formulas that ``big_lambda0`` shares with it;
+``xi_tilde0_series`` shares only ``_phase``.
 """
 
 from __future__ import annotations
@@ -81,27 +81,19 @@ def _l0(w: complex, f: complex) -> complex:
     return 1 - SQRT2 * w * f + (w * f) ** 2
 
 
-def f_tilde(z: complex) -> complex:
-    """f(z) = (z^2 + 1 - sqrt(z^4 + 1)) / sqrt(2), principal branch from f(0)=0.
-
-    The principal square root is continuous on the closed unit disk except at
-    the four branch points z^4 = -1, where z^4 + 1 vanishes.  z must lie in
-    that disk (``_check_disk``): beyond it z^2 + 1 - sqrt(z^4 + 1) cancels,
-    so the result has no right digit by |z| = 1e8, and z^4 overflows to NaN
-    parts by |z| = 1e77.
-    """
-    z = _check_disk(z)
-    return _f(z, _root(z))
-
-
 def big_lambda0(z: complex, phi: float) -> complex:
-    """L0(z) = 1 - sqrt(2) w f(z) + w^2 f(z)^2 with w = exp(2*pi*i*phi).
+    """L0(z) = 1 - sqrt(2) w f(z) + w^2 f(z)^2 with w = exp(2*pi*i*phi) and
+    f(z) = (z^2 + 1 - sqrt(z^4 + 1)) / sqrt(2), principal branch from f(0) = 0.
 
-    Factors as (1 - w f e^{i pi/4})(1 - w f e^{-i pi/4}), so zeros sit where
-    w f(z) = e^{+-i pi/4}.
+    z must lie in the closed unit disk (``_check_disk``), where f is
+    continuous except at the branch points z^4 = -1: beyond it f cancels to
+    no right digit by |z| = 1e8, and z^4 overflows to NaN parts by 1e77.
+    L0 factors as (1 - w f e^{i pi/4})(1 - w f e^{-i pi/4}), so zeros sit
+    where w f(z) = e^{+-i pi/4}.
     """
     _check_phi(phi)
-    return _l0(_phase(phi), f_tilde(z))
+    z = _check_disk(z)
+    return _l0(_phase(phi), _f(z, _root(z)))
 
 
 def singular_points(phi: float) -> list:
@@ -178,31 +170,31 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
 
     Returns an array of shape (N+1, 2, 2); the z^(2n) coefficient applied to
     the initial coin state reproduces the renewal origin amplitude at time 2n.
-    Built by composing the sqrt(1+z^4) series into f, its z^(4k) coefficient
-    r*_{4k-1} (k >= 1) rounded once by ``series._rstar_floats``, then
-    inverting L0 by Newton doubling (O(log N) convolutions).  f and L0 hold
-    only even powers of z, so the series are built in u = z^2 and every odd
-    coefficient is exactly 0.0.  f is real, so its two products, f^2 and
-    f times 1/L0 (one real product per part), are formed in real arithmetic.
+    f and L0 hold only even powers of z, so the series are built in u = z^2
+    and every odd coefficient is exactly 0.0.  The series carries the real
+    q = sqrt(2) f = 1 + u - sqrt(1 + u^2), whose u^(2m) coefficient is
+    -r*_{4m-1} (m >= 1), rounded once by ``series._rstar_floats``.  f's
+    quadratic gives q^2 / 2 = (1 + u) q - u, so L0 = 1 - w q + w^2 q^2 / 2
+    takes one shift-and-add, not a product.  L0 is inverted by Newton
+    doubling (O(log N) convolutions), and q times 1/L0 is formed as one real
+    product per part: these are the only O(N^2) steps.
     """
     _check_phi(phi)
     N = _index(N, "N", 0)
     n = N // 2 + 1  # coefficients of u^0 .. u^(N//2)
-    s4 = np.zeros(n)
-    s4[0] = 1.0
-    s4[2::2] = _rstar_floats(N // 4)
-    f = -s4 / SQRT2
-    f[0] += 1 / SQRT2
-    if n > 1:
-        f[1] += 1 / SQRT2
+    q = np.zeros(n)  # q = sqrt(2) f: 0, 1, then -r*_{4m-1} at u^(2m)
+    q[1:2] = 1.0
+    q[2::2] = _rstar_floats(N // 4)
+    q[2::2] *= -1.0
+    h = q.copy()  # q^2 / 2 = (1 + u) q - u; its u terms cancel exactly
+    h[1:] += q[:-1]
+    h[1:2] -= 1.0
     w = _phase(phi)
-    fsq = np.convolve(f, f)[:n]
-    lam = -SQRT2 * w * f + w * w * fsq
-    # f has no u^0 term, so L0's constant term is exactly 1
+    lam = w * w * h - w * q  # L0 - 1: h and q have no u^0 term
     lam[0] += 1.0
     inv = _series_reciprocal(lam)
-    # inv * g with g = w f / sqrt(2)
-    ig = (np.convolve(inv.real, f)[:n] + 1j * np.convolve(inv.imag, f)[:n]) * (w / SQRT2)
+    # inv * g with g = w f / sqrt(2) = w q / 2
+    ig = (np.convolve(inv.real, q)[:n] + 1j * np.convolve(inv.imag, q)[:n]) * (w / 2)
     diag = inv - ig
     out = np.zeros((N + 1, 2, 2), dtype=complex)
     out[::2, 0, 0] = diag

@@ -61,10 +61,14 @@ def _check_phi(phi: float) -> None:
     """The one domain rule for the defect phase: phi in [0, 1).
 
     The chained comparison is false for NaN and +-inf, so they are rejected
-    too.
+    too, and raises TypeError for a non-number (str, None, complex).
     """
-    if not 0.0 <= phi < 1.0:
-        raise DomainError(f"phi must lie in [0, 1), got {phi}")
+    try:
+        if 0.0 <= phi < 1.0:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"phi must lie in [0, 1), got {phi!r}")
 
 
 def _index(value, name: str, least=None, most=None) -> int:
@@ -111,14 +115,13 @@ def _norm_sq(alpha: complex, beta: complex) -> float:
 
 
 def _check_state(alpha: complex, beta: complex) -> None:
-    """The one domain rule for a coin state (alpha, beta): both parts finite
-    and the state normalized (``_is_normalized``)."""
+    """The one domain rule for a coin state (alpha, beta): both amplitudes
+    finite numbers and the state normalized (``_is_normalized``)."""
     try:
         finite = cmath.isfinite(alpha) and cmath.isfinite(beta)
-    except OverflowError:  # a Python int too large for a float
-        raise DomainError(
-            "initial coin state must be finite: an amplitude overflows a float"
-        ) from None
+    except (OverflowError, TypeError):  # a Python int past a float; str, None
+        raise DomainError("initial coin state must be finite numbers: an "
+                          "amplitude overflows a float or is not a number") from None
     if not finite:
         raise DomainError(
             f"initial coin state must be finite, got ({alpha}, {beta})"

@@ -20,13 +20,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_parse_phi_decimal_and_fraction():
+def test_parse_phi_decimal_and_fraction(capsys):
     assert cli.parse_phi("0.5") == 0.5
     assert cli.parse_phi("1/3") == pytest.approx(1 / 3)
     with pytest.raises(cli.DomainError):
         cli.parse_phi("abc")
     with pytest.raises(cli.DomainError):
         cli.parse_phi("1/0")
+    big = "1" + "0" * 400 + "/3"  # its float() overflows
+    with pytest.raises(cli.DomainError):
+        cli.parse_phi(big)
+    code, out, err = run(capsys, "limit", "--phi", big, "--xmax", "1")
+    assert code == cli.USAGE_ERROR
+    assert out == "" and err.startswith("error: cannot parse phi")
+    assert "Traceback" not in err
 
 
 def test_simulate_header_and_mass(capsys):

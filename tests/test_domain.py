@@ -1,7 +1,8 @@
 """One domain rule for the defect phase: every function that takes phi
-rejects anything outside [0, 1), NaN and +-inf included, with DomainError.
-Likewise one rule for the coin state: every function that takes (alpha, beta)
-rejects a non-finite or non-normalized state with DomainError; one rule for
+rejects anything outside [0, 1), NaN and +-inf included, and anything that is
+not a number, with DomainError.  Likewise one rule for the coin state: every
+function that takes (alpha, beta) rejects a non-number, a non-finite or a
+non-normalized state with DomainError; one rule for
 an integer argument (walk._index): every site, time, count or order rejects a
 non-integer and a value outside its bounds; and one rule for a point z of the
 closed unit disk (walk._check_disk), which also refuses anything that is not a
@@ -43,7 +44,11 @@ PHI_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, -0.1, 1.0, 1.5])
+@pytest.mark.parametrize("phi", [
+    math.nan, math.inf, -math.inf, -0.1, 1.0, 1.5,
+    # not numbers: the comparison raises TypeError
+    pytest.param("0.3", id="str"), None, pytest.param(0.3j, id="complex"),
+])
 @pytest.mark.parametrize("name", sorted(PHI_TAKERS))
 def test_phi_outside_domain_is_domain_error(name, phi):
     with pytest.raises(DomainError, match=r"phi must lie in \[0, 1\)"):
@@ -74,6 +79,8 @@ STATE_TAKERS = {
         (3.0, 4j),  # finite, norm 25
         (0.0, 0.0),
         pytest.param(10**400, 0.8j, id="int10**400-0.8j"),  # too large for a float
+        pytest.param("1", 0.0, id="str-0.0"),  # not numbers: isfinite raises TypeError
+        (0.6, None),
     ],
 )
 @pytest.mark.parametrize("name", sorted(STATE_TAKERS))
@@ -169,7 +176,6 @@ def test_numpy_integer_equals_int():
 
 
 Z_TAKERS = {
-    "f_tilde": spectral.f_tilde,
     "big_lambda0": lambda z: spectral.big_lambda0(z, 0.3),
 }
 

@@ -265,9 +265,12 @@ def test_stationary_measure_domain():
                         (0.75, "minus")):
         with pytest.raises(DomainError, match="does not decay"):
             limits.stationary_measure(0, phi, 0.5, branch)
-    for alpha_mod2 in (-1.0, 0.0, math.nan, math.inf, -math.inf, 1e308):
-        with pytest.raises(DomainError, match="alpha_mod2"):
-            limits.stationary_measure(0, 0.5, alpha_mod2, "plus")
+    # a non-number, and an int whose double is past the largest float
+    for alpha_mod2 in (-1.0, 0.0, math.nan, math.inf, -math.inf, 1e308,
+                       "0.5", None, 0.5j, 10**400):
+        for x in (0, 1):
+            with pytest.raises(DomainError, match="alpha_mod2"):
+                limits.stationary_measure(x, 0.5, alpha_mod2, "plus")
     with pytest.raises(DomainError):
         limits.stationary_measure(0, 0.5, 0.5, "middling")
 

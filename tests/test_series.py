@@ -180,6 +180,20 @@ def test_series_reciprocal_equals_full_product_newton():
         assert np.array_equal(series._series_reciprocal(a), want)
 
 
+def test_q_series_satisfies_f_quadratic():
+    # q = sqrt(2) f = 1 + u - sqrt(1 + u^2) in u = z^2, from the Fraction route
+    # that reads neither the closed form nor the carrier, satisfies
+    # q^2 - 2 (1 + u) q + 2 u = 0, the identity xi_tilde0_series forms L0 by
+    n = 200
+    fr = series.first_return_series(2 * n)
+    q = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 1)
+    q[2::2] = [-fr[2 * k - 1] for k in range(2, n + 1, 2)]
+    for k in range(n + 1):
+        square = sum(q[i] * q[k - i] for i in range(k + 1))
+        linear = 2 * (q[k] + (q[k - 1] if k else 0)) - 2 * (k == 1)
+        assert square == linear, k
+
+
 def test_sqrt1z4_squares_back():
     n = 40
     s = _sqrt1z4_fractions(n)

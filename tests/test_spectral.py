@@ -33,9 +33,14 @@ def _phi_tilde(theta):
     return math.atan2(sgn * math.sqrt(max(band, 0.0)), SQRT2 * math.cos(theta))
 
 
+def _f(z):
+    # f(z) by the pointwise formulas that big_lambda0 and the gate share
+    return spectral._f(z, spectral._root(z))
+
+
 def _lambda(z):
     # lambda(z) = z / (f(z) - sqrt(2)), the decay factor of the measure
-    return z / (spectral.f_tilde(z) - SQRT2)
+    return z / (_f(z) - SQRT2)
 
 
 def _disk_samples(count=100, seed=3):
@@ -46,14 +51,14 @@ def _disk_samples(count=100, seed=3):
 
 
 def test_f_tilde_at_zero_and_i():
-    assert spectral.f_tilde(0) == 0
-    assert spectral.f_tilde(1j) == pytest.approx(-1)
-    assert abs(spectral.f_tilde(1j)) == pytest.approx(1)
+    assert _f(0) == 0
+    assert _f(1j) == pytest.approx(-1)
+    assert abs(_f(1j)) == pytest.approx(1)
 
 
 def test_f_tilde_quadratic_identity_on_disk():
     for z in _disk_samples():
-        f = spectral.f_tilde(z)
+        f = _f(z)
         res = f * f - SQRT2 * (1 + z * z) * f + z * z
         assert abs(res) <= 1e-12
 
@@ -62,7 +67,7 @@ def test_f_tilde_unit_modulus_on_band():
     for theta in np.linspace(-np.pi, np.pi, 200):
         if 2 * math.sin(theta) ** 2 < 1 + 1e-9:
             continue
-        f = spectral.f_tilde(cmath.exp(1j * theta))
+        f = _f(cmath.exp(1j * theta))
         assert abs(abs(f) - 1) <= 1e-12
         # polar form e^{i(theta + phi~)}
         expected = cmath.exp(1j * (theta + _phi_tilde(theta)))
@@ -100,7 +105,7 @@ def test_big_lambda0_factorization():
     for phi in (0.2, 0.5, 0.9):
         w = cmath.exp(2j * math.pi * phi)
         for z in _disk_samples(40, seed=11):
-            f = spectral.f_tilde(z)
+            f = _f(z)
             fac = (1 - w * f * cmath.exp(1j * math.pi / 4)) * (
                 1 - w * f * cmath.exp(-1j * math.pi / 4)
             )
@@ -264,7 +269,7 @@ def _ref_residue_norms(phi, alpha, beta):
     w = cmath.exp(2j * math.pi * phi)
     out = []
     for pt in _ref_singular_points(phi):
-        g = w * spectral.f_tilde(pt.z) / SQRT2
+        g = w * _f(pt.z) / SQRT2
         n1, n2 = alpha * (1 - g) - beta * g, alpha * g + beta * (1 - g)
         out.append((abs(n1) ** 2 + abs(n2) ** 2) * pt.residue_prefactor)
     return out
