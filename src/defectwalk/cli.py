@@ -227,7 +227,7 @@ def cmd_compare(args) -> int:
 def cmd_spectrum(args) -> int:
     p = _params(args)
     pts = spectral.singular_points(p.phi)
-    norms = spectral.residue_norms(pts, p.phi, p.alpha, p.beta)
+    norms = spectral.residue_norms(pts, p.alpha, p.beta)
     payload = [
         {
             "branch": pt.branch,
@@ -372,9 +372,9 @@ VERIFY_CHECKS = (
      lambda: [abs(spectral.big_lambda0(pt.z, phi))
               for phi in _GRID for pt in spectral.singular_points(phi)]),
     ("spectral closure residue-sum gap (10-point grid)", 1e-12,
-     lambda: [abs(sum(spectral.residue_norms(pts, phi, *_STATE))
+     lambda: [abs(sum(spectral.residue_norms(spectral.singular_points(phi), *_STATE))
                   - limits.mu_inf_origin(phi, *_STATE))
-              for phi in _GRID for pts in [spectral.singular_points(phi)]]),
+              for phi in _GRID]),
     ("stationary coincidence", 1e-12,
      lambda: [limits.compare_stationary_timeavg(phi, branch)
               for phi, branch in ((0.3, "plus"), (0.3, "minus"), (0.5, "plus"))]),

@@ -19,7 +19,8 @@ tail, pref = 2 - w and rate = 1/(3 - 2w).  Every caller evaluates a profile
 over many sites for one (phi, state), so the table is memoized: it is built
 once per (phi, alpha, beta), and only a build checks the coin state.  Each
 public function still checks phi on every call, and an integer argument
-through the one integer rule ``walk._index``.
+through the one integer rule ``walk._index``.  Every function computes with
+the float and complexes that the domain rules return, not the raw arguments.
 
 ``cgmv_limit_origin`` and ``stationary_measure`` do not read the table: they
 spell the two energies inline as C +- S.  The CMV-equality check compares the
@@ -66,7 +67,7 @@ def _angle(phi: float, eta: int) -> float:
     return 2 * math.pi * phi - eta * math.pi / 4
 
 
-@functools.lru_cache(maxsize=8, typed=True)
+@functools.lru_cache(maxsize=8)
 def _families(phi: float, alpha: complex, beta: complex) -> tuple:
     """(eta, w, mu, pref, rate) for each family that carries mass: its
     energy w < 1, its point mass mu = ((1 - w)/(3 - 2w))^2 |alpha - eta i beta|^2
@@ -79,11 +80,12 @@ def _families(phi: float, alpha: complex, beta: complex) -> tuple:
     below ~2.7e-17, where the true weight is below 1e-31.  Such a family is
     left out, as is one outside its interval.
 
-    Memoized; a miss first checks the coin state (``_check_state``), and the
-    caller has checked phi.  ``typed`` keeps keys of different numeric types
-    apart, since equal values of two types can round differently.
+    Memoized; a miss first checks the coin state (``_check_state``) and
+    builds the table from the complexes it returns, and the caller passes
+    the float that ``_check_phi`` returned.  A key's equal values of two
+    numeric types convert to one complex, so they share one table.
     """
-    _check_state(alpha, beta)
+    alpha, beta = _check_state(alpha, beta)
     table = []
     for eta in _FAMILIES:
         if not _in_family(phi, eta):
@@ -110,7 +112,7 @@ def mu_inf(x: int, phi: float, alpha: complex, beta: complex) -> float:
     exponent is capped at ``_EXPONENT_CAP``, where every such power is
     already 0.0, so an |x| beyond float range gives 0.0 too.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     x = abs(_index(x, "x"))
     total = 0.0
     if x == 0:
@@ -130,7 +132,7 @@ def total_point_mass(phi: float, alpha: complex, beta: complex) -> float:
     Always a sub-probability; the remaining mass spreads ballistically and
     contributes nothing to any fixed site's time average.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     families = _families(phi, alpha, beta)
     total = sum((mu for _, _, mu, _, _ in families), 0.0)
     for _, _, mu, pref, rate in families:
@@ -154,8 +156,9 @@ def asymptotic_psi_origin(
     error is at most 2^-20 < 1e-6 rad: n is an integer in 1 .. _MAX_N
     (``_index``), and a larger n is a DomainError.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     n = _index(n, "n", 1, _MAX_N)
+    alpha, beta = _check_state(alpha, beta)
     psi_l = 0j
     psi_r = 0j
     for eta, w, _, pref, _ in _families(phi, alpha, beta):
@@ -193,12 +196,14 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
     so the interval ends, where C or S rounds to a few 1e-16, cannot pass
     for decaying.  With the rate below 1 the largest value is 2|alpha|^2 at
     the origin, so that must be finite.  x is any integer (``_index``),
-    and the exponent is capped as in ``mu_inf``.
+    and the exponent is capped as in ``mu_inf``.  The profile is scaled by
+    the float of 2.0 * alpha_mod2, so every value is a Python float.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     x = abs(_index(x, "x"))
     try:  # 2.0 * refuses a non-number (TypeError) and an int past a float
-        valid = 0 < 2.0 * alpha_mod2 < math.inf
+        double = float(2.0 * alpha_mod2)
+        valid = 0 < double < math.inf
     except (TypeError, OverflowError):
         valid = False
     if not valid:
@@ -215,8 +220,8 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
         raise DomainError(f"the {branch} profile does not decay at phi={phi}: "
                           f"its rate 1/(3 - 2C -+ 2S) is {rate}, not below 1")
     if x == 0:
-        return 2 * alpha_mod2
-    return 2 * alpha_mod2 * rate ** min(x, _EXPONENT_CAP) * gamma
+        return double
+    return double * rate ** min(x, _EXPONENT_CAP) * gamma
 
 
 def compare_stationary_timeavg(phi: float, branch: str) -> float:
@@ -236,7 +241,7 @@ def compare_stationary_timeavg(phi: float, branch: str) -> float:
     origin value is a DomainError, as is a profile that
     ``stationary_measure`` rejects.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     eta = _branch_eta(branch)
     degenerate = DomainError(f"branch {branch!r} degenerates (zero weight) at phi={phi}")
     if not _in_family(phi, eta):
@@ -261,8 +266,8 @@ def cgmv_limit_origin(phi: float, alpha: complex, beta: complex) -> float:
     spelled-out formula, independent of the family table, for cross-checking.
     Zero at phi = 0, where neither localization region applies.
     """
-    _check_phi(phi)
-    _check_state(alpha, beta)
+    phi = _check_phi(phi)
+    alpha, beta = _check_state(alpha, beta)
     C = math.cos(2 * math.pi * phi)
     S = math.sin(2 * math.pi * phi)
     E_plus = C + S

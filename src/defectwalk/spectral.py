@@ -11,13 +11,14 @@ resolvent, which checks the renewal convolution of ``series`` coefficient by
 coefficient.
 
 Each singular-point quantity has one route and one spelling:
-``singular_points`` computes w once per call and sqrt(z^4 + 1) and f(z) once
-per point, and forms the gate's |L0|, lambda and dL0/dz from them, as
-``lambda_sq`` and ``residue_prefactor`` = 1/|dL0/dz|^2, each point a
-``SpectralPoint`` NamedTuple built positionally; ``residue_norms`` reads the
-prefactor from the points.  The private helpers ``_phase``, ``_root``,
-``_f`` and ``_l0`` are the formulas that ``big_lambda0`` shares with it;
-``xi_tilde0_series`` shares only ``_phase``.
+``singular_points`` computes w once per call and z = e^{i theta_s},
+sqrt(z^4 + 1) and f(z) once per point, and forms the gate's |L0|, lambda,
+dL0/dz and g = w f(z) / sqrt(2) from them; each point, a ``SpectralPoint``
+NamedTuple built positionally, stores z, g, ``lambda_sq`` and
+``residue_prefactor`` = 1/|dL0/dz|^2.  ``residue_norms`` reads only g and
+the prefactor from the points.  The private helpers ``_phase``, ``_root``,
+``_f`` and ``_l0`` are the formulas that ``big_lambda0`` shares with
+``singular_points``; ``xi_tilde0_series`` shares only ``_phase``.
 """
 
 from __future__ import annotations
@@ -37,23 +38,23 @@ _ROOT_FAMILIES = {"eps_plus": (1, 0.0, 0.75), "eps_minus": (-1, 0.25, 1.0)}
 
 class SpectralPoint(NamedTuple):
     """One unit-circle zero of L0 and its residue data, an immutable
-    NamedTuple of (theta_s, branch, lambda_sq, residue_prefactor).
+    NamedTuple of (theta_s, branch, lambda_sq, residue_prefactor, z, g).
 
     ``branch`` is "eps_plus:+", "eps_plus:-", "eps_minus:+" or "eps_minus:-"
     (root family and sign of the antipodal pair).  ``lambda_sq`` is the
     geometric decay factor |lambda(e^{i theta_s})|^2, lambda(z) =
     z / (f(z) - sqrt(2)), of the measure away from the origin;
-    ``residue_prefactor`` is |Res(1/L0)|^2 = 1/|dL0/dz|^2 at the point.
+    ``residue_prefactor`` is |Res(1/L0)|^2 = 1/|dL0/dz|^2 at the point;
+    ``z`` = e^{i theta_s} and ``g`` = w f(z) / sqrt(2), the entry of the
+    resolvent's numerator, are the values the gate checked.
     """
 
     theta_s: float
     branch: str
     lambda_sq: float
     residue_prefactor: float
-
-    @property
-    def z(self) -> complex:
-        return cmath.exp(1j * self.theta_s)
+    z: complex
+    g: complex
 
 
 def _phase(phi: float) -> complex:
@@ -91,7 +92,7 @@ def big_lambda0(z: complex, phi: float) -> complex:
     L0 factors as (1 - w f e^{i pi/4})(1 - w f e^{-i pi/4}), so zeros sit
     where w f(z) = e^{+-i pi/4}.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     z = _check_disk(z)
     return _l0(_phase(phi), _f(z, _root(z)))
 
@@ -105,7 +106,7 @@ def singular_points(phi: float) -> list:
     with f computed from z by the principal square root, not taken from the
     closed form.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     w = _phase(phi)
     points = []
     for name, (sign, lo, hi) in _ROOT_FAMILIES.items():
@@ -131,30 +132,27 @@ def singular_points(phi: float) -> list:
             # f'(z) = sqrt(2) z (1 - z^2 / sqrt(z^4 + 1))
             dl0 = (-SQRT2 * w + 2 * w * w * f) * (SQRT2 * z * (1 - z * z / root))
             points.append(SpectralPoint(
-                theta, branch, abs(z / (f - SQRT2)) ** 2, 1 / abs(dl0) ** 2))
+                theta, branch, abs(z / (f - SQRT2)) ** 2, 1 / abs(dl0) ** 2,
+                z, w * f / SQRT2))
     return points
 
 
-def residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> list:
-    """Squared residue norms of the origin resolvent at ``points``, the
-    singular points of ``phi`` as ``singular_points(phi)`` returns them, in
-    the same order.
+def residue_norms(points: list, alpha: complex, beta: complex) -> list:
+    """Squared residue norms of the origin resolvent at ``points``, as
+    ``singular_points`` returns them, in the same order.
 
-    Computed from the actual residue (numerator over dL0/dz at the pole, the
-    latter read as each point's ``residue_prefactor``), not from the closed
-    form, so the sum is an independent route to the time-averaged limit
-    measure at the origin.  Taking the points lets a caller that needs both
-    run the ``singular_points`` gate once.
+    Computed from the actual residue (numerator over dL0/dz at the pole),
+    not from the closed form, so the sum is an independent route to the
+    time-averaged limit measure at the origin.  It reads only each point's
+    ``g`` and ``residue_prefactor``, which carry the points' phi, so it
+    takes none, and a caller that needs both runs the ``singular_points``
+    gate once.
     """
-    _check_phi(phi)
-    _check_state(alpha, beta)
-    w = _phase(phi)
+    alpha, beta = _check_state(alpha, beta)
     out = []
     for pt in points:
-        # numerator vector of the at-origin resolvent applied to the state;
-        # pt.z lies on the unit circle, so f is formed with no disk check
-        z = pt.z
-        g = w * _f(z, _root(z)) / SQRT2
+        # numerator vector of the at-origin resolvent applied to the state
+        g = pt.g
         n1, n2 = alpha * (1 - g) - beta * g, alpha * g + beta * (1 - g)
         out.append((abs(n1) ** 2 + abs(n2) ** 2) * pt.residue_prefactor)
     return out
@@ -162,7 +160,7 @@ def residue_norms(points: list, phi: float, alpha: complex, beta: complex) -> li
 
 def residue_norms_origin(phi: float, alpha: complex, beta: complex) -> list:
     """``residue_norms`` at ``singular_points(phi)``."""
-    return residue_norms(singular_points(phi), phi, alpha, beta)
+    return residue_norms(singular_points(phi), alpha, beta)
 
 
 def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
@@ -179,7 +177,7 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     doubling (O(log N) convolutions), and q times 1/L0 is formed as one real
     product per part: these are the only O(N^2) steps.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     N = _index(N, "N", 0)
     n = N // 2 + 1  # coefficients of u^0 .. u^(N//2)
     q = np.zeros(n)  # q = sqrt(2) f: 0, 1, then -r*_{4m-1} at u^(2m)

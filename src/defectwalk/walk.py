@@ -39,6 +39,7 @@ which is all a ``step`` loop ever writes, so a wider window costs no more.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 import numbers
 import operator
@@ -57,16 +58,21 @@ class DomainError(ValueError):
     """Raised when a parameter is outside its admissible range."""
 
 
-def _check_phi(phi: float) -> None:
-    """The one domain rule for the defect phase: phi in [0, 1).
+def _check_phi(phi: float) -> float:
+    """The one domain rule for the defect phase: phi in [0, 1), returned as
+    the float that every caller computes with.
 
-    The chained comparison is false for NaN and +-inf, so they are rejected
-    too, and raises TypeError for a non-number (str, None, complex).
+    The chained comparison runs first, since ``float`` would parse a string:
+    it is false for NaN and +-inf and raises TypeError for a non-number
+    (str, None, complex) and InvalidOperation for a Decimal NaN.  A value
+    below 1 whose float is 1.0 (a Fraction or long double) is refused too.
     """
     try:
         if 0.0 <= phi < 1.0:
-            return
-    except TypeError:
+            value = float(phi)
+            if value < 1.0:
+                return value
+    except (TypeError, decimal.InvalidOperation):
         pass
     raise DomainError(f"phi must lie in [0, 1), got {phi!r}")
 
@@ -114,9 +120,12 @@ def _norm_sq(alpha: complex, beta: complex) -> float:
         return math.inf
 
 
-def _check_state(alpha: complex, beta: complex) -> None:
+def _check_state(alpha: complex, beta: complex) -> tuple:
     """The one domain rule for a coin state (alpha, beta): both amplitudes
-    finite numbers and the state normalized (``_is_normalized``)."""
+    finite numbers and the state normalized (``_is_normalized``).  Returns
+    (complex(alpha), complex(beta)), on which the norm is judged and every
+    caller computes; ``cmath.isfinite`` runs first, since ``complex`` would
+    parse a string."""
     try:
         finite = cmath.isfinite(alpha) and cmath.isfinite(beta)
     except (OverflowError, TypeError):  # a Python int past a float; str, None
@@ -126,11 +135,13 @@ def _check_state(alpha: complex, beta: complex) -> None:
         raise DomainError(
             f"initial coin state must be finite, got ({alpha}, {beta})"
         )
+    alpha, beta = complex(alpha), complex(beta)
     norm = _norm_sq(alpha, beta)
     if not _is_normalized(norm):
         raise DomainError(
             f"initial coin state not normalized: |alpha|^2+|beta|^2 = {norm}"
         )
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,8 @@ class WalkParams:
 
     ``phi`` lives in [0, 1); phi = 0 is the homogeneous Hadamard baseline.
     The coin state (alpha, beta) must be finite and normalized to 1 within
-    1e-12.
+    1e-12.  The fields hold the float and complexes that ``_check_phi`` and
+    ``_check_state`` return, whatever number types were passed.
     """
 
     phi: float
@@ -147,8 +159,11 @@ class WalkParams:
     beta: complex
 
     def __post_init__(self):
-        _check_phi(self.phi)
-        _check_state(self.alpha, self.beta)
+        # frozen, so the values the rules return are stored past __setattr__
+        object.__setattr__(self, "phi", _check_phi(self.phi))
+        alpha, beta = _check_state(self.alpha, self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def omega(self) -> complex:

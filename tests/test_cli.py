@@ -543,7 +543,7 @@ def test_spectrum_equals_library(capsys, phi):
                          "--alpha", "0.36,0.48", "--beta", "0.64,-0.48")
     assert code == 0, err
     pts = spectral.singular_points(cli.parse_phi(phi))
-    norms = spectral.residue_norms(pts, cli.parse_phi(phi), alpha, beta)
+    norms = spectral.residue_norms(pts, alpha, beta)
     assert pts
     assert json.loads(out) == [
         {"branch": pt.branch, "lambda_sq": pt.lambda_sq, "residue_norm": norm,

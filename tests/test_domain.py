@@ -1,8 +1,9 @@
 """One domain rule for the defect phase: every function that takes phi
 rejects anything outside [0, 1), NaN and +-inf included, and anything that is
-not a number, with DomainError.  Likewise one rule for the coin state: every
-function that takes (alpha, beta) rejects a non-number, a non-finite or a
-non-normalized state with DomainError; one rule for
+not a number, with DomainError, and computes with the float the rule returns.
+Likewise one rule for the coin state: every function that takes
+(alpha, beta) rejects a non-number, a non-finite or a non-normalized state
+with DomainError, and computes with the complexes the rule returns; one rule for
 an integer argument (walk._index): every site, time, count or order rejects a
 non-integer and a value outside its bounds; and one rule for a point z of the
 closed unit disk (walk._check_disk), which also refuses anything that is not a
@@ -11,9 +12,11 @@ number."""
 import argparse
 import ast
 import cmath
+import dataclasses
 import importlib
 import inspect
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,22 +40,62 @@ PHI_TAKERS = {
     ),
     "cgmv_limit_origin": lambda phi: limits.cgmv_limit_origin(phi, A, B),
     "singular_points": spectral.singular_points,
-    "residue_norms": lambda phi: spectral.residue_norms([], phi, A, B),
     "residue_norms_origin": lambda phi: spectral.residue_norms_origin(phi, A, B),
     "xi_tilde0_series": lambda phi: spectral.xi_tilde0_series(phi, 4),
     "big_lambda0": lambda phi: spectral.big_lambda0(0.5j, phi),
 }
 
 
+# below 1, but its float is 1.0 where a long double is wider than a float
+LONG_BELOW_1 = np.longdouble(1) - np.finfo(np.longdouble).eps
+
+
 @pytest.mark.parametrize("phi", [
     math.nan, math.inf, -math.inf, -0.1, 1.0, 1.5,
     # not numbers: the comparison raises TypeError
     pytest.param("0.3", id="str"), None, pytest.param(0.3j, id="complex"),
+    # the comparison raises InvalidOperation
+    pytest.param(Decimal("NaN"), id="Decimal-NaN"),
+    # below 1, but the float computed with is 1.0
+    pytest.param(Fraction(10**20 - 1, 10**20), id="Fraction-below-1"),
+    pytest.param(LONG_BELOW_1, id="longdouble-below-1", marks=pytest.mark.skipif(
+        float(LONG_BELOW_1) < 1.0, reason="long double is no wider than a float")),
 ])
 @pytest.mark.parametrize("name", sorted(PHI_TAKERS))
 def test_phi_outside_domain_is_domain_error(name, phi):
     with pytest.raises(DomainError, match=r"phi must lie in \[0, 1\)"):
         PHI_TAKERS[name](phi)
+
+
+def _assert_same(got, ref):
+    # equal, and of the reference's type wherever it is a Python float or
+    # complex, field by field through records, tuples and lists
+    if dataclasses.is_dataclass(ref):
+        got, ref = dataclasses.astuple(got), dataclasses.astuple(ref)
+    if isinstance(ref, np.ndarray):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    elif isinstance(ref, (tuple, list)):
+        assert type(got) is type(ref) and len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _assert_same(g, r)
+    else:
+        assert type(got) is type(ref) and got == ref
+
+
+@pytest.mark.parametrize(
+    "phi", [np.float32(0.3), np.float16(0.3), Decimal("0.3"), Fraction(3, 10)],
+    ids=lambda phi: type(phi).__name__)
+@pytest.mark.parametrize("name", sorted(PHI_TAKERS))
+def test_phi_number_types_are_accepted(name, phi):
+    # computed as the Python float: in float32, 2 pi phi put the gate's |L0|
+    # at 5e-8 and every route off by up to 2.6e-5 relative
+    _assert_same(PHI_TAKERS[name](phi), PHI_TAKERS[name](float(phi)))
+
+
+def test_float32_phi_passes_the_singular_point_gate():
+    for k in range(1, 1000):
+        assert spectral.singular_points(np.float32(k / 1000)) == (
+            spectral.singular_points(float(np.float32(k / 1000))))
 
 
 STATE_TAKERS = {
@@ -63,7 +106,7 @@ STATE_TAKERS = {
     "asymptotic_psi_origin": lambda a, b: limits.asymptotic_psi_origin(3, 0.3, a, b),
     "cgmv_limit_origin": lambda a, b: limits.cgmv_limit_origin(0.3, a, b),
     "residue_norms": lambda a, b: spectral.residue_norms(
-        spectral.singular_points(0.3), 0.3, a, b
+        spectral.singular_points(0.3), a, b
     ),
     "residue_norms_origin": lambda a, b: spectral.residue_norms_origin(0.3, a, b),
 }
@@ -81,6 +124,8 @@ STATE_TAKERS = {
         pytest.param(10**400, 0.8j, id="int10**400-0.8j"),  # too large for a float
         pytest.param("1", 0.0, id="str-0.0"),  # not numbers: isfinite raises TypeError
         (0.6, None),
+        # in single precision |alpha|^2 + |beta|^2 is 1; exactly, 1 + 2.9e-8
+        pytest.param(np.complex64(0.6), 0.8j, id="complex64(0.6)-0.8j"),
     ],
 )
 @pytest.mark.parametrize("name", sorted(STATE_TAKERS))
@@ -89,6 +134,23 @@ def test_state_outside_domain_is_domain_error(name, alpha, beta):
     for _ in range(2):
         with pytest.raises(DomainError, match="initial coin state"):
             STATE_TAKERS[name](alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    # normalized at their exact values
+    pytest.param(np.complex64(1), 0.0, id="complex64-float"),
+    pytest.param(np.float32(0), np.complex64(1j), id="float32-complex64"),
+    pytest.param(np.complex64(0.5 + 0.5j), np.complex64(0.5 - 0.5j),
+                 id="complex64-complex64"),
+    pytest.param(Fraction(3, 5), 0.8j, id="Fraction-complex"),
+    pytest.param(Decimal("0.6"), 0.8j, id="Decimal-complex"),
+])
+@pytest.mark.parametrize("name", sorted(STATE_TAKERS))
+def test_state_number_types_are_accepted(name, alpha, beta):
+    # computed as Python complexes: with a complex64 amplitude the closed
+    # forms returned a float32 (mu_inf 0.21114561 for 0.21114561800016823)
+    _assert_same(STATE_TAKERS[name](alpha, beta),
+                 STATE_TAKERS[name](complex(alpha), complex(beta)))
 
 
 P = WalkParams(phi=0.3, alpha=A, beta=B)
@@ -217,6 +279,22 @@ def test_no_assert_in_src():
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_domain_rule_values_are_used():
+    # _check_phi and _check_state return the values they admit, and every
+    # caller computes with those: a bare call would validate an input and
+    # leave the caller computing with the raw one
+    src = Path(limits.__file__).parent
+    rules = {"_check_phi", "_check_state"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func).split(".")[-1] in rules
     ]
     assert found == []
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -273,6 +274,16 @@ def test_stationary_measure_domain():
                 limits.stationary_measure(x, 0.5, alpha_mod2, "plus")
     with pytest.raises(DomainError):
         limits.stationary_measure(0, 0.5, 0.5, "middling")
+
+
+def test_stationary_measure_number_types():
+    # scaled by the float of 2.0 * alpha_mod2: at x = 0 an int 1 returned 2,
+    # and a float32 0.25 returned a float32
+    for alpha_mod2 in (1, Fraction(1, 4), np.float32(0.25), np.float16(0.25)):
+        for x in (0, 1, 7):
+            got = limits.stationary_measure(x, 0.5, alpha_mod2, "plus")
+            ref = limits.stationary_measure(x, 0.5, float(alpha_mod2), "plus")
+            assert type(got) is float and got == ref
 
 
 def test_compare_stationary_is_constant_ratio():

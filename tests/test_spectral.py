@@ -219,7 +219,7 @@ def test_residue_vanishing_branch():
 def test_residue_norms_at_points_equal_origin_norms():
     for phi in (0.0,) + tuple(PHI_GRID):
         pts = spectral.singular_points(phi)
-        assert spectral.residue_norms(pts, phi, 0.6, 0.8j) == (
+        assert spectral.residue_norms(pts, 0.6, 0.8j) == (
             spectral.residue_norms_origin(phi, 0.6, 0.8j)
         )
 
@@ -240,7 +240,8 @@ def test_residue_sum_reconstructs_origin_limit():
 
 def _ref_singular_points(phi):
     # the per-point code spelled out here from the formulas of the docstrings,
-    # sharing no helper with the package: f, |L0|, lambda and dL0/dz from z
+    # sharing no helper with the package: f, |L0|, lambda, dL0/dz and the
+    # resolvent entry g = w f / sqrt(2) from z
     w = cmath.exp(2j * math.pi * phi)
     points = []
     for name, sign, lo, hi in (("eps_plus", 1, 0.0, 0.75), ("eps_minus", -1, 0.25, 1.0)):
@@ -261,11 +262,13 @@ def _ref_singular_points(phi):
             points.append(spectral.SpectralPoint(
                 theta_s=theta, branch=f"{name}:{pm}",
                 lambda_sq=abs(z / (f - SQRT2)) ** 2,
-                residue_prefactor=1 / abs(dl0) ** 2))
+                residue_prefactor=1 / abs(dl0) ** 2,
+                z=z, g=w * f / SQRT2))
     return points
 
 
 def _ref_residue_norms(phi, alpha, beta):
+    # g formed again from the point's z, not read from the point
     w = cmath.exp(2j * math.pi * phi)
     out = []
     for pt in _ref_singular_points(phi):
@@ -284,36 +287,38 @@ def test_singular_points_equal_public_helper_spelling(phi):
     got, ref = spectral.singular_points(phi), _ref_singular_points(phi)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
-        assert g.theta_s == r.theta_s
-        assert g.branch == r.branch
-        assert g.lambda_sq == r.lambda_sq
-        assert g.residue_prefactor == r.residue_prefactor
+        for name in spectral.SpectralPoint._fields:
+            assert getattr(g, name) == getattr(r, name), name
 
 
 def test_spectral_point_is_immutable():
     pt = spectral.singular_points(0.3)[0]
-    for name in ("theta_s", "branch", "lambda_sq", "residue_prefactor"):
+    for name in ("theta_s", "branch", "lambda_sq", "residue_prefactor", "z", "g"):
         with pytest.raises(AttributeError):
             setattr(pt, name, 0.0)
 
 
 @pytest.mark.parametrize("phi", [0.1, 0.3, 0.5, 0.9])
 def test_root_formed_once_per_point(phi, monkeypatch):
-    # the module docstring's "sqrt(z^4 + 1) once per point", for the gate
-    # and for the residue norms alike
+    # the module docstring's "sqrt(z^4 + 1) once per point" for the gate;
+    # the residue norms read the points and form no phase, root, f or z
     calls = []
-    root = spectral._root
 
-    def counting_root(z):
-        calls.append(z)
-        return root(z)
+    def counting(name, func):
+        def wrapper(*args):
+            calls.append(name)
+            return func(*args)
+        return wrapper
 
-    monkeypatch.setattr(spectral, "_root", counting_root)
+    monkeypatch.setattr(spectral, "_root", counting("_root", spectral._root))
     pts = spectral.singular_points(phi)
-    assert pts and len(calls) == len(pts)
+    assert pts and calls == ["_root"] * len(pts)
     calls.clear()
-    spectral.residue_norms(pts, phi, 0.6, 0.8j)
-    assert len(calls) == len(pts)
+    for name in ("_check_phi", "_phase", "_f"):
+        monkeypatch.setattr(spectral, name, counting(name, getattr(spectral, name)))
+    monkeypatch.setattr(cmath, "exp", counting("exp", cmath.exp))
+    norms = spectral.residue_norms(pts, 0.6, 0.8j)
+    assert len(norms) == len(pts) and calls == []
 
 
 def test_residue_norms_equal_public_helper_spelling():
@@ -323,7 +328,7 @@ def test_residue_norms_equal_public_helper_spelling():
         a, b = complex(v[0], v[1]), complex(v[2], v[3])
         norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
         for alpha, beta in ((a / norm, b / norm), (0.6 + 0j, 0.8j)):
-            got = spectral.residue_norms(spectral.singular_points(phi), phi, alpha, beta)
+            got = spectral.residue_norms(spectral.singular_points(phi), alpha, beta)
             assert got == _ref_residue_norms(phi, alpha, beta)
 
 
