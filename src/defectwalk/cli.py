@@ -99,7 +99,7 @@ def _sites(xmax: int) -> range:
 
 # the least value of each integer flag, which ``main`` checks before the
 # command runs, so an error names the flag rather than a library parameter
-_INT_FLAG_LEAST = {"steps": 0, "T": 1, "xmax": 0, "order": 0}
+_INT_FLAG_LEAST = {"steps": 0, "T": 1, "xmax": 0}
 
 
 def _check_int_flags(args) -> None:
@@ -349,6 +349,24 @@ def _check_limit_vs_simulation():
 _GRID = [i / 11 for i in range(1, 11)]
 _STATE = (0.6 + 0j, 0.8j)  # not branch-pure (beta != +-i alpha): both families weigh in
 
+
+def _check_asymptotic():
+    """Gaps of ``asymptotic_psi_origin`` from the renewal origin amplitudes at
+    times 2n, n = 800 .. 900, for ``_STATE`` and the eta = 1 preset on the
+    10-point grid: the closed-form family phases against the renewal route."""
+    gaps = []
+    for phi in _GRID:
+        for p in (WalkParams(phi, *_STATE), WalkParams.preset(1, phi)):
+            renewal = series.psi_origin_sequence(900, p)
+            for n in range(800, 901):
+                re_l, im_l, re_r, im_r = limits.asymptotic_psi_origin(
+                    n, phi, p.alpha, p.beta)
+                psi_l, psi_r = renewal[n]
+                gaps += [abs(psi_l - complex(re_l, im_l)),
+                         abs(psi_r - complex(re_r, im_r))]
+    return gaps
+
+
 # (name, bound, check): ``cmd_verify`` passes a record iff np.max of the
 # check's gaps is <= bound, so a NaN gap fails it.  No check reads another
 # row's state, so each row runs on its own.
@@ -385,6 +403,9 @@ VERIFY_CHECKS = (
               for p in (WalkParams.preset(1, phi), WalkParams.preset(-1, phi))]),
     ("kernel vs step loop (T=199..201)", 0.0, _check_kernel_vs_steps),
     ("limit vs simulation (T=2000)", 2e-2, _check_limit_vs_simulation),
+    # 4.3e-4 measured, at phi = 3/11, the grid point nearest 1/4 (at most
+    # 6.5e-5 at the other nine): a 2.3x margin
+    ("asymptotic vs renewal (n=800..900)", 1e-3, _check_asymptotic),
 )
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -196,17 +197,19 @@ def stationary_measure(x: int, phi: float, alpha_mod2: float, branch: str) -> fl
     so the interval ends, where C or S rounds to a few 1e-16, cannot pass
     for decaying.  With the rate below 1 the largest value is 2|alpha|^2 at
     the origin, so that must be finite.  x is any integer (``_index``),
-    and the exponent is capped as in ``mu_inf``.  The profile is scaled by
-    the float of 2.0 * alpha_mod2, so every value is a Python float.
+    and the exponent is capped as in ``mu_inf``.  alpha_mod2 is a real
+    number (``numbers.Real``) and the profile is scaled by 2.0 *
+    float(alpha_mod2), so every value is a Python float.
     """
     phi = _check_phi(phi)
     x = abs(_index(x, "x"))
-    try:  # 2.0 * refuses a non-number (TypeError) and an int past a float
-        double = float(2.0 * alpha_mod2)
-        valid = 0 < double < math.inf
-    except (TypeError, OverflowError):
-        valid = False
-    if not valid:
+    # a real number only (float would parse a str or a Decimal), scaled as a
+    # Python float: 2.0 * a large NumPy float overflows in its type and warns
+    try:
+        double = 2.0 * float(alpha_mod2) if isinstance(alpha_mod2, numbers.Real) else 0.0
+    except OverflowError:  # an int past a float
+        double = 0.0
+    if not 0 < double < math.inf:
         raise DomainError(f"2*alpha_mod2 must be finite and > 0, got {alpha_mod2!r}")
     eta = _branch_eta(branch)
     if not _in_family(phi, eta):

@@ -12,10 +12,10 @@ coefficient.
 
 Each singular-point quantity has one route and one spelling:
 ``singular_points`` computes w once per call and z = e^{i theta_s},
-sqrt(z^4 + 1) and f(z) once per point, and forms the gate's |L0|, lambda,
-dL0/dz and g = w f(z) / sqrt(2) from them; each point, a ``SpectralPoint``
-NamedTuple built positionally, stores z, g, ``lambda_sq`` and
-``residue_prefactor`` = 1/|dL0/dz|^2.  ``residue_norms`` reads only g and
+sqrt(z^4 + 1) and f(z) once per root family, and forms the gate's |L0|,
+lambda, dL0/dz and g = w f(z) / sqrt(2) from them; each point, a
+``SpectralPoint`` NamedTuple built positionally, stores z, g, ``lambda_sq``
+and ``residue_prefactor`` = 1/|dL0/dz|^2.  ``residue_norms`` reads only g and
 the prefactor from the points.  The private helpers ``_phase``, ``_root``,
 ``_f`` and ``_l0`` are the formulas that ``big_lambda0`` shares with
 ``singular_points``; ``xi_tilde0_series`` shares only ``_phase``.
@@ -45,8 +45,9 @@ class SpectralPoint(NamedTuple):
     geometric decay factor |lambda(e^{i theta_s})|^2, lambda(z) =
     z / (f(z) - sqrt(2)), of the measure away from the origin;
     ``residue_prefactor`` is |Res(1/L0)|^2 = 1/|dL0/dz|^2 at the point;
-    ``z`` = e^{i theta_s} and ``g`` = w f(z) / sqrt(2), the entry of the
-    resolvent's numerator, are the values the gate checked.
+    ``z`` = e^{i theta_s} (for a "-" point, -z of its partner, within 4e-16)
+    and ``g`` = w f(z) / sqrt(2), the entry of the resolvent's numerator,
+    are the values the gate checked.
     """
 
     theta_s: float
@@ -102,9 +103,11 @@ def singular_points(phi: float) -> list:
 
     A root family has zeros on its open phi interval in ``_ROOT_FAMILIES``,
     exactly where its point-mass weight is positive, so at phi = 0 there are
-    none.  Each closed-form point must satisfy |L0(e^{i theta_s})| <= 1e-10,
-    with f computed from z by the principal square root, not taken from the
-    closed form.
+    none.  One gate per family: its closed-form "+" point z must satisfy
+    |L0(z)| <= 1e-10, f computed from z by the principal square root, not
+    taken from the closed form.  The antipode, at atan2(-s, -c), stores -z
+    and its partner's lambda_sq, prefactor and g, their exact values at -z:
+    negation leaves z*z, root, f and L0 bit for bit and flips dL0/dz's sign.
     """
     phi = _check_phi(phi)
     w = _phase(phi)
@@ -114,26 +117,22 @@ def singular_points(phi: float) -> list:
             continue
         # appendix-style closed form of the antipodal (cos, sin) pair
         eps = 2 * math.pi * phi + sign * math.pi / 4  # f(z) = exp(-i eps)
-        den = math.sqrt(3 - 2 * SQRT2 * math.cos(eps))
-        c = math.sin(eps) / den
-        s = (math.cos(eps) - SQRT2) / den
-        for branch, cos_s, sin_s in ((f"{name}:+", c, s), (f"{name}:-", -c, -s)):
-            theta = math.atan2(sin_s, cos_s)
-            z = cmath.exp(1j * theta)
-            root = _root(z)
-            f = _f(z, root)
-            resid = abs(_l0(w, f))
-            if resid > 1e-10:
-                raise ArithmeticError(
-                    f"singular point failed to converge: |L0| = {resid:.3e} "
-                    f"at phi={phi}, branch {branch.replace(':', '')}"
-                )
-            # dL0/dz = (-sqrt(2) w + 2 w^2 f) f'(z), where
-            # f'(z) = sqrt(2) z (1 - z^2 / sqrt(z^4 + 1))
-            dl0 = (-SQRT2 * w + 2 * w * w * f) * (SQRT2 * z * (1 - z * z / root))
-            points.append(SpectralPoint(
-                theta, branch, abs(z / (f - SQRT2)) ** 2, 1 / abs(dl0) ** 2,
-                z, w * f / SQRT2))
+        cos_eps = math.cos(eps)
+        den = math.sqrt(3 - 2 * SQRT2 * cos_eps)
+        c, s = math.sin(eps) / den, (cos_eps - SQRT2) / den
+        theta = math.atan2(s, c)
+        z = cmath.exp(1j * theta)
+        root = _root(z)
+        f = _f(z, root)
+        resid = abs(_l0(w, f))
+        if resid > 1e-10:
+            raise ArithmeticError(f"singular point failed to converge: |L0| = "
+                                  f"{resid:.3e} at phi={phi}, branch {name}+")
+        # dL0/dz = (-sqrt(2) w + 2 w^2 f) f'(z), f'(z) = sqrt(2) z (1 - z^2 / root)
+        dl0 = (-SQRT2 * w + 2 * w * w * f) * (SQRT2 * z * (1 - z * z / root))
+        lam_sq, pref, g = abs(z / (f - SQRT2)) ** 2, 1 / abs(dl0) ** 2, w * f / SQRT2
+        points += (SpectralPoint(theta, f"{name}:+", lam_sq, pref, z, g),
+                   SpectralPoint(math.atan2(-s, -c), f"{name}:-", lam_sq, pref, -z, g))
     return points
 
 

@@ -409,6 +409,7 @@ VERIFY_RECORDS = [
     ("CMV-form equality", 1e-14),
     ("kernel vs step loop (T=199..201)", 0.0),
     ("limit vs simulation (T=2000)", 2e-2),
+    ("asymptotic vs renewal (n=800..900)", 1e-3),
 ]
 
 
@@ -416,7 +417,7 @@ def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = [line for line in out.strip().split("\n") if line.startswith("[")]
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.startswith("[ok") for line in lines)
     names = []
     for line in lines:
@@ -525,13 +526,13 @@ def test_singular_point_gate_failure_is_verify_error(capsys, phi):
 
 def test_singular_point_gate_message(capsys):
     # the whole line is pinned but |L0|, which a better-conditioned gate
-    # will change
-    code, out, err = run(capsys, "spectrum", "--phi", "0.2500001")
+    # will change; the gate runs once per family, on its "+" point
+    code, out, err = run(capsys, "spectrum", "--phi", "0.25000001")
     assert code == cli.VERIFY_ERROR
     assert out == ""
     assert re.fullmatch(
         r"error: singular point failed to converge: \|L0\| = \d\.\d{3}e-\d\d "
-        r"at phi=0\.2500001, branch eps_minus-\n", err)
+        r"at phi=0\.25000001, branch eps_minus\+\n", err)
 
 
 @pytest.mark.parametrize("phi", ["0.3", "1/2"])

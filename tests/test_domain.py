@@ -299,13 +299,6 @@ def test_domain_rule_values_are_used():
     assert found == []
 
 
-# public names with no caller outside the tests, kept on purpose
-PUBLIC_WITHOUT_CALLER = {
-    # documented in the README API; ROADMAP item 5 leaves its user open
-    "asymptotic_psi_origin",
-}
-
-
 def test_public_names_have_a_non_test_caller():
     # every module-level public function and class of the package is referenced
     # by the package itself or by the benchmark harness, not only by tests
@@ -330,7 +323,7 @@ def test_public_names_have_a_non_test_caller():
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     assert bench
-    assert {n for n in public if n not in referenced} == PUBLIC_WITHOUT_CALLER
+    assert [n for n in public if n not in referenced] == []
 
 
 def test_perfbench_functions_resolve():

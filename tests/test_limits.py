@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -266,9 +267,11 @@ def test_stationary_measure_domain():
                         (0.75, "minus")):
         with pytest.raises(DomainError, match="does not decay"):
             limits.stationary_measure(0, phi, 0.5, branch)
-    # a non-number, and an int whose double is past the largest float
+    # a non-number, and an int or a NumPy float whose double is past the
+    # largest float (refused without NumPy's overflow warning)
     for alpha_mod2 in (-1.0, 0.0, math.nan, math.inf, -math.inf, 1e308,
-                       "0.5", None, 0.5j, 10**400):
+                       "0.5", None, 0.5j, Decimal("0.5"), np.complex128(0.5),
+                       10**400, np.float64(1e308)):
         for x in (0, 1):
             with pytest.raises(DomainError, match="alpha_mod2"):
                 limits.stationary_measure(x, 0.5, alpha_mod2, "plus")
@@ -277,9 +280,10 @@ def test_stationary_measure_domain():
 
 
 def test_stationary_measure_number_types():
-    # scaled by the float of 2.0 * alpha_mod2: at x = 0 an int 1 returned 2,
-    # and a float32 0.25 returned a float32
-    for alpha_mod2 in (1, Fraction(1, 4), np.float32(0.25), np.float16(0.25)):
+    # scaled by 2.0 * float(alpha_mod2): at x = 0 an int 1 returned 2, and a
+    # float32 0.25 returned a float32; a float32 3e38 doubles to a finite float
+    for alpha_mod2 in (1, Fraction(1, 4), np.float32(0.25), np.float16(0.25),
+                       np.float32(3e38)):
         for x in (0, 1, 7):
             got = limits.stationary_measure(x, 0.5, alpha_mod2, "plus")
             ref = limits.stationary_measure(x, 0.5, float(alpha_mod2), "plus")
