@@ -9,6 +9,7 @@ parameter out of domain, unwritable --out), 3 verification failure (a failed
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import itertools
 import json
@@ -388,6 +389,10 @@ VERIFY_CHECKS = (
     ("renewal vs evolution (n<=60)", 1e-10, _check_renewal),
     ("spectral closure |L0| (10-point grid)", 1e-10,
      lambda: [abs(spectral.big_lambda0(pt.z, phi))
+              for phi in _GRID for pt in spectral.singular_points(phi)]),
+    # each stored z, an antipode's -z+ too, against its own angle
+    ("singular points at e^(i theta_s) (10-point grid)", 1e-15,
+     lambda: [abs(pt.z - cmath.exp(1j * pt.theta_s))
               for phi in _GRID for pt in spectral.singular_points(phi)]),
     ("spectral closure residue-sum gap (10-point grid)", 1e-12,
      lambda: [abs(sum(spectral.residue_norms(spectral.singular_points(phi), *_STATE))

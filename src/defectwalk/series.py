@@ -12,12 +12,12 @@ One generator, ``_rstar_ratios``, carries the closed form of r* as integer
 ratios over powers of two; it is also the one integer carrier of sqrt(1 + z^4),
 whose z^(4m) coefficient is r*_{4m-1}.  The series route,
 ``first_return_series``, is a separate reduced Fraction recurrence.  Neither
-forms a gcd of two large integers.  Where floats are needed, ``_rstar_floats``
-rounds each ratio once as it is yielded: the denominator is a power of two, so
-scaling the numerator's float by it is exact, and int / int true division takes
-over once the numerator is past the largest float.  The renewal equation (and
-the resolvent series in ``spectral``) is solved by ``_series_reciprocal``, a
-Newton-doubling power-series reciprocal in O(log N) NumPy convolutions.
+forms a gcd of two large integers.  ``_renewal_coefficients`` rounds each
+ratio once as it is yielded: the denominator is a power of two, so scaling the
+numerator's float by it is exact, and int / int true division takes over once
+the numerator is past the largest float.  The renewal equation (and the
+resolvent series in ``spectral``, which reads only this) is solved by
+``_series_reciprocal``, a Newton-doubling reciprocal in O(log N) convolutions.
 """
 
 from __future__ import annotations
@@ -165,8 +165,7 @@ def _rstar_ratios(mmax: int):
     m = 1, ..., mmax, each an integer ratio (numerator, denominator 2^(2m-1))
     from the closed form of ``rstar``: (-1)^(m-1) Cat_{m-1} / 2^(2m-1), where
     Cat_{m-1} = C(2m-2, m-1) / m.  Only the current pair is held, so
-    ``_rstar_floats``, which rounds each pair as it comes for
-    ``_renewal_coefficients`` and ``spectral.xi_tilde0_series``, keeps O(N)
+    ``_renewal_coefficients``, which rounds each pair as it comes, keeps O(N)
     memory; the CLI's ``series`` tables are the other reader.
 
     Cat_{m-1} is carried from m to m + 1 by the exact integer step
@@ -181,17 +180,18 @@ def _rstar_ratios(mmax: int):
         pow2 <<= 2
 
 
-def _rstar_floats(mmax: int) -> list:
-    """r*_{4m-1} for m = 1, ..., mmax: each ratio of ``_rstar_ratios``
-    rounded once, to the float nearest num / den.
+def _renewal_coefficients(nmax: int) -> np.ndarray:
+    """r*_{2a-1} for a = 1, ..., nmax as floats, each ratio of
+    ``_rstar_ratios`` rounded once, to the float nearest num / den.
 
-    den is exactly 2^(2m-1), so ldexp(num, 1 - den.bit_length()) is num / den
-    bit for bit (int -> float rounds correctly; the power-of-two scaling is
-    exact) without a big-int division.  From m = 521 on num (Cat_520 and up)
+    Only a = 1 and even a = 2m (r*_{4m-1}) are nonzero.  den is exactly
+    2^(2m-1), so ldexp(num, 1 - den.bit_length()) is num / den bit for bit
+    (int -> float rounds correctly; the power-of-two scaling is exact)
+    without a big-int division.  From m = 521 on num (Cat_520 and up)
     overflows a float and ldexp raises OverflowError; from there true
-    division rounds.
+    division rounds.  So every float equals ``float(rstar(2a - 1))``.
     """
-    ratios = _rstar_ratios(mmax)
+    ratios = _rstar_ratios(nmax // 2)
     out = []
     try:
         for num, den in ratios:
@@ -199,19 +199,9 @@ def _rstar_floats(mmax: int) -> list:
     except OverflowError:  # num only grows, so every later one overflows too
         out.append(num / den)
         out += [num / den for num, den in ratios]
-    return out
-
-
-def _renewal_coefficients(nmax: int) -> np.ndarray:
-    """r*_{2a-1} for a = 1, ..., nmax as floats, from ``_rstar_floats``.
-
-    Only a = 1 and even a = 2m (r*_{4m-1}) are nonzero.  Each ratio is
-    rounded once, correctly, so every float equals
-    ``float(rstar(2a - 1))``.
-    """
     r = np.zeros(nmax)
     r[:1] = -1.0
-    r[1::2] = _rstar_floats(nmax // 2)
+    r[1::2] = out
     return r
 
 

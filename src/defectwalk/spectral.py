@@ -18,7 +18,8 @@ lambda, dL0/dz and g = w f(z) / sqrt(2) from them; each point, a
 and ``residue_prefactor`` = 1/|dL0/dz|^2.  ``residue_norms`` reads only g and
 the prefactor from the points.  The private helpers ``_phase``, ``_root``,
 ``_f`` and ``_l0`` are the formulas that ``big_lambda0`` shares with
-``singular_points``; ``xi_tilde0_series`` shares only ``_phase``.
+``singular_points``; ``xi_tilde0_series`` shares only ``_phase``, and of
+``series`` it reads only ``_series_reciprocal``, never the exact r* carrier.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import _rstar_floats, _series_reciprocal
+from .series import _series_reciprocal
 from .walk import SQRT2, _check_disk, _check_phi, _check_state, _index
 
 # root family -> (sign of pi/4 in its angle eps, open phi interval of its zeros)
@@ -170,7 +171,10 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     f and L0 hold only even powers of z, so the series are built in u = z^2
     and every odd coefficient is exactly 0.0.  The series carries the real
     q = sqrt(2) f = 1 + u - sqrt(1 + u^2), whose u^(2m) coefficient is
-    -r*_{4m-1} (m >= 1), rounded once by ``series._rstar_floats``.  f's
+    -r*_{4m-1} (m >= 1), by the float binomial step of sqrt(1 + u^2),
+    c_m = c_{m-1} (3 - 2m) / (2m): its relative error (3.5e-15 at m = 1100,
+    1.8e-14 at 10^5) is below what the float reciprocal and products lose,
+    and the exact r* rounded once would move xi by at most 5.4e-15 (N <= 2e4).  f's
     quadratic gives q^2 / 2 = (1 + u) q - u, so L0 = 1 - w q + w^2 q^2 / 2
     takes one shift-and-add, not a product.  L0 is inverted by Newton
     doubling (O(log N) convolutions), and q times 1/L0 is formed as one real
@@ -181,8 +185,8 @@ def xi_tilde0_series(phi: float, N: int) -> np.ndarray:
     n = N // 2 + 1  # coefficients of u^0 .. u^(N//2)
     q = np.zeros(n)  # q = sqrt(2) f: 0, 1, then -r*_{4m-1} at u^(2m)
     q[1:2] = 1.0
-    q[2::2] = _rstar_floats(N // 4)
-    q[2::2] *= -1.0
+    m = np.arange(1, N // 4 + 1)
+    q[2::2] = -np.cumprod((3 - 2 * m) / (2 * m))  # sqrt(1 + u^2)'s binomial step
     h = q.copy()  # q^2 / 2 = (1 + u) q - u; its u terms cancel exactly
     h[1:] += q[:-1]
     h[1:2] -= 1.0

@@ -387,17 +387,17 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
     with x + t even (a run of kernel steps updates a few more, which cannot
     reach it).  The kernel yields one (even, odd) pair of windows per pass,
     w + 1 compact columns each, and they are copied into a block of whole
-    pairs, about one kernel buffer in size.  A flush zeroes the pairs the
-    last block left unfilled and, for even n, the odd row of the final pair,
-    which repeats time n - 1; then it adds the squared measures, left
-    chirality first, into the running sums, one per parity of t and column,
-    by one ``np.add.accumulate`` over [sums; pairs], which adds the pairs one
-    at a time, in time order, as a ``step`` loop does.  The zeroed rows and
-    the columns the kernel has not reached yet (never written) hold exact
-    zeros, as do the sites with x + t odd that a ``step`` loop adds, and
-    adding +0.0 to a nonnegative sum changes nothing, so the result equals a
-    ``step`` loop bit for bit.  The sum of the one column outside the window
-    is dropped.
+    pairs, about one kernel buffer in size.  A flush zeroes, for even n, the
+    odd row of the final pair, which repeats time n - 1, and squares only the
+    k pairs filled since the last flush; then it adds the squared
+    measures, left chirality first, into the running sums, one per parity of
+    t and column, by one ``np.add.accumulate`` over [sums; pairs], which adds
+    the pairs one at a time, in time order, as a ``step`` loop does.  The
+    zeroed row and the columns the kernel has not reached yet (never written)
+    hold exact zeros, as do the sites with x + t odd that a ``step`` loop
+    adds, and adding +0.0 to a nonnegative sum changes nothing, so the result
+    equals a ``step`` loop bit for bit.  The sum of the one column outside
+    the window is dropped.
     """
     T = _index(T, "T", 1)
     xmax = _index(xmax, "xmax", 0)
@@ -414,8 +414,7 @@ def time_average(params: WalkParams, T: int, xmax: int) -> Measure:
         if k == pairs or i == n // 2:
             if 2 * i == n:  # the final pair's odd row repeats time n - 1
                 block[k - 1, 1] = 0
-            block[k:] = 0
-            mu = np.abs(block) ** 2
+            mu = np.abs(block[:k]) ** 2
             run = np.concatenate((sums[None], mu[..., 0] + mu[..., 1]))
             sums[...] = np.add.accumulate(run, axis=0)[-1]
             k = 0

@@ -404,6 +404,7 @@ VERIFY_RECORDS = [
     ("series triple equivalence (n<=15)", 0),
     ("renewal vs evolution (n<=60)", 1e-10),
     ("spectral closure |L0| (10-point grid)", 1e-10),
+    ("singular points at e^(i theta_s) (10-point grid)", 1e-15),
     ("spectral closure residue-sum gap (10-point grid)", 1e-12),
     ("stationary coincidence", 1e-12),
     ("CMV-form equality", 1e-14),
@@ -417,7 +418,7 @@ def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = [line for line in out.strip().split("\n") if line.startswith("[")]
-    assert len(lines) == 12
+    assert len(lines) == 13
     assert all(line.startswith("[ok") for line in lines)
     names = []
     for line in lines:

@@ -97,7 +97,8 @@ def test_rstar_floats_equal_true_division():
     # scaling by the power of two rounds each ratio as num / den does, on
     # both sides of m = 521
     ratios = list(series._rstar_ratios(1100))
-    assert series._rstar_floats(1100) == [num / den for num, den in ratios]
+    got = series._renewal_coefficients(2200)[1::2]  # r*_{4m-1}, m = 1 .. 1100
+    assert list(got) == [num / den for num, den in ratios]
     float(ratios[519][0])  # Cat_519 is a float
     with pytest.raises(OverflowError):
         float(ratios[520][0])  # Cat_520 is not
@@ -511,13 +512,13 @@ def _reached(fn, *args):
 
 
 def test_resolvent_and_renewal_series_share_only_the_carrier():
-    # the resolvent series reads the renewal route's integer carrier and
-    # reciprocal, never its renewal equation, the r* closed form or the
+    # the resolvent series reads only the renewal route's reciprocal, never
+    # its integer carrier, its renewal equation, the r* closed form or the
     # Fraction series; the renewal route reads nothing of spectral
     xi = _reached(spectral.xi_tilde0_series, 0.3, 600)
     xi_series = {name for module, name in xi if module == "defectwalk.series"}
-    assert xi_series <= {"_rstar_ratios", "_rstar_floats", "_series_reciprocal"}
+    assert xi_series <= {"_series_reciprocal"}
     assert not xi_series & {"psi_origin_sequence", "_renewal_coefficients",
-                            "first_return_series", "rstar"}
+                            "_rstar_ratios", "first_return_series", "rstar"}
     psi = _reached(series.psi_origin_sequence, 300, WalkParams.preset(1, 0.3))
     assert all(module != "defectwalk.spectral" for module, _ in psi)

@@ -385,6 +385,37 @@ def test_xi_tilde0_series_matches_renewal_over_whole_range():
     assert worst <= 1e-12
 
 
+def _xi_exact_carrier_reference(phi, N):
+    # the same algebra with q's u^(2m) coefficient -r*_{4m-1} taken from the
+    # exact carrier, each ratio rounded once
+    n = N // 2 + 1
+    q = np.zeros(n)
+    q[1:2] = 1.0
+    q[2::2] = [-num / den for num, den in series._rstar_ratios(N // 4)]
+    h = q.copy()
+    h[1:] += q[:-1]
+    h[1:2] -= 1.0
+    w = cmath.exp(2j * math.pi * phi)
+    lam = w * w * h - w * q
+    lam[0] += 1.0
+    inv = series._series_reciprocal(lam)
+    ig = (np.convolve(inv.real, q)[:n] + 1j * np.convolve(inv.imag, q)[:n]) * (w / 2)
+    out = np.zeros((N + 1, 2, 2), dtype=complex)
+    out[::2] = np.stack([inv - ig, -ig, ig, inv - ig], axis=-1).reshape(n, 2, 2)
+    return out
+
+
+def test_xi_tilde0_series_matches_exact_carrier_reference():
+    # q by the float binomial step stays within 1e-13 of q rounded once from
+    # the exact ratios (5.4e-15 measured), past m = 521 where the carrier's
+    # numerators leave the float range
+    cases = [(phi, N) for N in (600, 4400)
+             for phi in (0.1, 1 / 6, 0.3, 0.5, 0.25 + 1e-7, 0.77)] + [(0.3, 20_000)]
+    for phi, N in cases:
+        got = spectral.xi_tilde0_series(phi, N)
+        assert np.max(np.abs(got - _xi_exact_carrier_reference(phi, N))) <= 1e-13
+
+
 def test_xi_tilde0_series_general_state():
     params = WalkParams(phi=0.77, alpha=0.48 + 0.6j, beta=complex(0, math.sqrt(1 - 0.48**2 - 0.36)))
     co = spectral.xi_tilde0_series(0.77, 24)
