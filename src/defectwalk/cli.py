@@ -368,6 +368,20 @@ def _check_asymptotic():
     return gaps
 
 
+def _check_resolvent():
+    """Gaps of the resolvent series' z^(2n) coefficients applied to the state
+    from the renewal origin amplitudes, n <= 300, for ``_STATE`` and the
+    eta = 1 preset on the 10-point grid: L0's two factors inverted by their
+    geometric recurrences against the renewal equation."""
+    gaps = []
+    for phi in _GRID:
+        xi = spectral.xi_tilde0_series(phi, 600)[::2]
+        for p in (WalkParams(phi, *_STATE), WalkParams.preset(1, phi)):
+            renewal = series.psi_origin_sequence(300, p)
+            gaps.append(np.max(np.abs(xi @ (p.alpha, p.beta) - renewal)))
+    return gaps
+
+
 # (name, bound, check): ``cmd_verify`` passes a record iff np.max of the
 # check's gaps is <= bound, so a NaN gap fails it.  No check reads another
 # row's state, so each row runs on its own.
@@ -411,6 +425,9 @@ VERIFY_CHECKS = (
     # 4.3e-4 measured, at phi = 3/11, the grid point nearest 1/4 (at most
     # 6.5e-5 at the other nine): a 2.3x margin
     ("asymptotic vs renewal (n=800..900)", 1e-3, _check_asymptotic),
+    # 4.2e-14 measured, at phi = 10/11 for the preset, most of it the renewal
+    # route's own rounding: a 24x margin
+    ("resolvent series vs renewal (N=600, 10-point grid)", 1e-12, _check_resolvent),
 )
 
 

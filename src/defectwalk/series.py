@@ -15,9 +15,9 @@ whose z^(4m) coefficient is r*_{4m-1}.  The series route,
 forms a gcd of two large integers.  ``_renewal_coefficients`` rounds each
 ratio once as it is yielded: the denominator is a power of two, so scaling the
 numerator's float by it is exact, and int / int true division takes over once
-the numerator is past the largest float.  The renewal equation (and the
-resolvent series in ``spectral``, which reads only this) is solved by
+the numerator is past the largest float.  The renewal equation is solved by
 ``_series_reciprocal``, a Newton-doubling reciprocal in O(log N) convolutions.
+The resolvent series in ``spectral`` reads nothing of this module.
 """
 
 from __future__ import annotations

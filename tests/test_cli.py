@@ -411,6 +411,7 @@ VERIFY_RECORDS = [
     ("kernel vs step loop (T=199..201)", 0.0),
     ("limit vs simulation (T=2000)", 2e-2),
     ("asymptotic vs renewal (n=800..900)", 1e-3),
+    ("resolvent series vs renewal (N=600, 10-point grid)", 1e-12),
 ]
 
 
@@ -418,7 +419,7 @@ def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = [line for line in out.strip().split("\n") if line.startswith("[")]
-    assert len(lines) == 13
+    assert len(lines) == 14
     assert all(line.startswith("[ok") for line in lines)
     names = []
     for line in lines:

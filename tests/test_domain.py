@@ -171,7 +171,8 @@ INDEX_TAKERS = {
     "path_oracle_first_return": (
         series.path_oracle_first_return, "n", 1, series.PATH_ORACLE_MAX_N),
     "psi_origin_sequence": (lambda n: series.psi_origin_sequence(n, P), "nmax", 0, None),
-    "xi_tilde0_series": (lambda N: spectral.xi_tilde0_series(0.3, N), "N", 0, None),
+    "xi_tilde0_series": (
+        lambda N: spectral.xi_tilde0_series(0.3, N), "N", 0, spectral._XI_MAX_N),
     "mu_inf": (lambda x: limits.mu_inf(x, 0.3, A, B), "x", None, None),
     "stationary_measure": (
         lambda x: limits.stationary_measure(x, 0.3, 0.5, "plus"), "x", None, None),

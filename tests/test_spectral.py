@@ -385,35 +385,94 @@ def test_xi_tilde0_series_matches_renewal_over_whole_range():
     assert worst <= 1e-12
 
 
-def _xi_exact_carrier_reference(phi, N):
-    # the same algebra with q's u^(2m) coefficient -r*_{4m-1} taken from the
-    # exact carrier, each ratio rounded once
-    n = N // 2 + 1
-    q = np.zeros(n)
-    q[1:2] = 1.0
-    q[2::2] = [-num / den for num, den in series._rstar_ratios(N // 4)]
-    h = q.copy()
-    h[1:] += q[:-1]
-    h[1:2] -= 1.0
-    w = cmath.exp(2j * math.pi * phi)
-    lam = w * w * h - w * q
-    lam[0] += 1.0
-    inv = series._series_reciprocal(lam)
-    ig = (np.convolve(inv.real, q)[:n] + 1j * np.convolve(inv.imag, q)[:n]) * (w / 2)
-    out = np.zeros((N + 1, 2, 2), dtype=complex)
-    out[::2] = np.stack([inv - ig, -ig, ig, inv - ig], axis=-1).reshape(n, 2, 2)
+def _xi_from_factors(y_plus, y_minus):
+    # (1 - g) / L0 = (Y+ + Y-) / 2 and g / L0 = (Y+ - Y-) / (2i) on the even rows
+    n = len(y_plus)
+    diag, ig = [(u + v) / 2 for u, v in zip(y_plus, y_minus)], \
+        [(u - v) / 2j for u, v in zip(y_plus, y_minus)]
+    out = np.zeros((2 * n - 1, 2, 2), dtype=complex)
+    out[::2] = np.stack([diag, np.negative(ig), ig, diag], axis=-1).reshape(n, 2, 2)
     return out
 
 
+def _xi_exact_carrier_reference(phi, N):
+    # the same identity with s's u^(2m) coefficient r*_{4m-1} taken from the
+    # exact carrier, each ratio rounded once; rho^-k and the prefix sum are
+    # formed whole, not by blocks
+    n = N // 2 + 1
+    p = np.zeros(n)  # u + s - 1
+    p[1:2] = 1.0
+    p[2::2] = [num / den for num, den in series._rstar_ratios(N // 4)]
+    turns = np.longdouble(phi) * 2 + np.array([[0.25], [-0.25]], dtype=np.longdouble)
+    a = np.exp(1j * (4 * np.arctan(np.longdouble(1))) * turns) / np.sqrt(np.longdouble(2))
+    c0 = 1 - 2 * a
+    theta = np.angle(2 * a * (1 - a) / c0)
+    head = theta.astype(np.float32)
+    tail = (theta - head).astype(float)
+    k = np.arange(n)
+    powers = np.exp(-1j * (k * head.astype(float))) * np.exp(-1j * (k * tail))
+    y = np.conj(powers) * (1 - (a / c0).astype(complex) * np.cumsum(p * powers, axis=1))
+    return _xi_from_factors(*y)
+
+
 def test_xi_tilde0_series_matches_exact_carrier_reference():
-    # q by the float binomial step stays within 1e-13 of q rounded once from
-    # the exact ratios (5.4e-15 measured), past m = 521 where the carrier's
+    # s by the float binomial step stays within 1e-13 of s rounded once from
+    # the exact ratios (1.5e-15 measured), past m = 521 where the carrier's
     # numerators leave the float range
     cases = [(phi, N) for N in (600, 4400)
              for phi in (0.1, 1 / 6, 0.3, 0.5, 0.25 + 1e-7, 0.77)] + [(0.3, 20_000)]
     for phi, N in cases:
         got = spectral.xi_tilde0_series(phi, N)
         assert np.max(np.abs(got - _xi_exact_carrier_reference(phi, N))) <= 1e-13
+
+
+def _xi_mpmath(phi, N):
+    # the identity at 40 digits and the exact phi: for each factor a of L0,
+    # y_k = rho y_{k-1} - (a / c0) p_k, rho = 2a (1 - a) / c0, c0 = 1 - 2a
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(0), mpmath.mpf(1)]  # u + sqrt(1 + u^2) - 1
+        c = mpmath.mpf(1)
+        for m in range(1, N // 4 + 1):
+            c = c * (3 - 2 * m) / (2 * m)
+            p += [c, mpmath.mpf(0)]
+        w = mpmath.expjpi(2 * mpmath.mpf(phi))
+        ys = []
+        for a in (w * mpmath.mpc(0.5, 0.5), w * mpmath.mpc(0.5, -0.5)):
+            c0 = 1 - 2 * a
+            rho, beta = 2 * a * (1 - a) / c0, a / c0
+            y = [mpmath.mpc(1)]
+            for pk in p[1 : N // 2 + 1]:
+                y.append(rho * y[-1] - beta * pk)
+            ys.append(y)
+        return _xi_from_factors(*ys)
+
+
+def test_xi_tilde0_series_matches_extended_precision():
+    # 2.8e-16 measured with x86's 80-bit longdouble, so the bound is 3.5x;
+    # where longdouble is double, theta loses about 2 ulp and phi = 1/6 at
+    # N = 4400 read 1.5e-13, bound 6x
+    bound = 1e-15 if np.finfo(np.longdouble).nmant >= 63 else 1e-12
+    cases = [(phi, 600) for phi in (0.1, 1 / 6, 0.3, 0.5, 0.25 + 1e-7, 0.77)] + [(1 / 6, 4400)]
+    for phi, N in cases:
+        got = spectral.xi_tilde0_series(phi, N)
+        assert np.array_equal(got[0], np.eye(2))
+        assert np.max(np.abs(got - _xi_mpmath(phi, N))) <= bound
+
+
+def test_xi_tilde0_series_matches_renewal_near_band_edges():
+    # 1e-12 and 1e-9 inside each band edge, and the double root of the two
+    # factors' denominators at 1/6 and 5/6; the renewal route's own error
+    # (3.1e-13 at 3/4 - 1e-9) is most of the gap
+    rng = np.random.default_rng(23)
+    phis = [d for e in (1e-12, 1e-9)
+            for d in (e, 0.25 - e, 0.25 + e, 0.75 - e, 0.75 + e, 1 - e)] + [1 / 6, 5 / 6]
+    for phi in phis:
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        params = WalkParams(phi=phi, alpha=complex(v[0]), beta=complex(v[1]))
+        co = spectral.xi_tilde0_series(phi, 4400)
+        psi = series.psi_origin_sequence(2200, params)
+        assert np.max(np.abs(co[::2] @ v - psi)) <= 1e-12, phi
 
 
 def test_xi_tilde0_series_general_state():
