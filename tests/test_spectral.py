@@ -388,8 +388,8 @@ def test_xi_tilde0_series_matches_renewal_over_whole_range():
 def _xi_from_factors(y_plus, y_minus):
     # (1 - g) / L0 = (Y+ + Y-) / 2 and g / L0 = (Y+ - Y-) / (2i) on the even rows
     n = len(y_plus)
-    diag, ig = [(u + v) / 2 for u, v in zip(y_plus, y_minus)], \
-        [(u - v) / 2j for u, v in zip(y_plus, y_minus)]
+    diag = [(u + v) / 2 for u, v in zip(y_plus, y_minus)]
+    ig = [(u - v) / 2j for u, v in zip(y_plus, y_minus)]
     out = np.zeros((2 * n - 1, 2, 2), dtype=complex)
     out[::2] = np.stack([diag, np.negative(ig), ig, diag], axis=-1).reshape(n, 2, 2)
     return out
